@@ -19,13 +19,19 @@ node k carries v = (s(k), s(2k), s(2k+1)), with children L*v and R*v for the
 integer matrices L_MATRIX and R_MATRIX below, and the pair recovered from
 v = (a, b, c) as (b - a, a).
 
+All four branches are written once, in net_expand.  Pointwise values come
+from a digit walk: start at the seed triple (s(j), s(2j), s(2j+1)) of the
+leading binary digits j of k and, for each further digit, move to the left
+or right child triple by one net_expand step.  s(k) thus costs O(bits of k)
+time and O(1) memory at any index size, with no shared mutable state.
+
 Fibers: the set of tree indices whose second component equals n has exactly
 tau(|f(n)|) elements, and |f(n)| is prime exactly when that set is the
 boundary pair {2^n, 2^(n+1) - 1}.  Fibers are computed by enumerating the
 divisors of |f(n)| and inverting each pair, not by scanning the tree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .arith import divisors
@@ -48,69 +54,47 @@ L_MATRIX: Mat3 = ((0, 1, 0), (-1, 2, 0), (0, 2, 1))
 R_MATRIX: Mat3 = ((0, 0, 1), (0, 1, 2), (-1, 0, 2))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SSeqKernel:
-    """Recursion kernel of one tree's second-component sequence.
-
-    Immutable apart from the memo table; memo writes are idempotent (a key is
-    always written the same value) so concurrent readers see consistent data.
-    """
+    """Recursion kernel of one tree's second-component sequence."""
 
     poly: EnumerablePoly
     const: int
     start: int  # recursion valid for k >= start; seeds cover 1 .. 4*start - 1
     initial: dict[int, int]
-    _memo: dict[int, int] = field(default_factory=dict, repr=False)
 
-    def s_value(self, k: int) -> int:
-        """s(k) by memoized descent; only O(log k) ancestors are touched."""
+    def _triple(self, k: int) -> Vec3:
+        """(s(k), s(2k), s(2k+1)) by the digit walk from k's seed node."""
         if k < 1:
             raise ValueError(f"index must be >= 1, got {k}")
-        seed = self.initial.get(k)
-        if seed is not None:
-            return seed
-        memo = self._memo
-        cached = memo.get(k)
-        if cached is not None:
-            return cached
-        r = k & 3
-        if r == 0:
-            v = 2 * self.s_value(k >> 1) - self.s_value(k >> 2)
-        elif r == 1:
-            v = 2 * self.s_value(k >> 1) + self.s_value((k >> 1) + 1) + self.const
-        elif r == 2:
-            v = 2 * self.s_value(k >> 1) + self.s_value((k >> 1) - 1) + self.const
-        else:
-            v = 2 * self.s_value(k >> 1) - self.s_value(k >> 2)
-        memo[k] = v
-        return v
+        digits = bin(k)[2:]
+        head = min(len(digits), self.start.bit_length())
+        j = int(digits[:head], 2)
+        seed, const = self.initial, self.const
+        a, b, c = seed[j], seed[2 * j], seed[2 * j + 1]
+        for digit in digits[head:]:
+            w, x, y, z = net_expand(a, b, c, const)
+            a, b, c = (b, w, x) if digit == "0" else (c, y, z)
+        return a, b, c
+
+    def s_value(self, k: int) -> int:
+        """s(k) by the digit walk; O(bits of k) time, O(1) memory."""
+        return self._triple(k)[0]
 
     def s_prefix(self, count: int) -> list[int]:
         """[s(1), ..., s(count)] by a bottom-up fill; matches s_value pointwise."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        vals = [0] * (count + 1)
         const = self.const
-        for k in range(1, count + 1):
-            seed = self.initial.get(k)
-            if seed is not None:
-                vals[k] = seed
-            else:
-                r = k & 3
-                if r == 0:
-                    vals[k] = 2 * vals[k >> 1] - vals[k >> 2]
-                elif r == 1:
-                    vals[k] = 2 * vals[k >> 1] + vals[(k >> 1) + 1] + const
-                elif r == 2:
-                    vals[k] = 2 * vals[k >> 1] + vals[(k >> 1) - 1] + const
-                else:
-                    vals[k] = 2 * vals[k >> 1] - vals[k >> 2]
-        return vals[1:]
+        vals = [0] + [self.initial[j] for j in range(1, 4 * self.start)]
+        for k in range(self.start, count // 4 + 1):
+            vals += net_expand(vals[k], vals[2 * k], vals[2 * k + 1], const)
+        return vals[1 : count + 1]
 
     def pair_at(self, k: int) -> DivisorPair:
         """The k-th breadth-first tree pair, (s(2k) - s(k), s(k))."""
-        n = self.s_value(k)
-        return make_pair(self.s_value(2 * k) - n, n, self.poly)
+        n, s2k, _ = self._triple(k)
+        return make_pair(s2k - n, n, self.poly)
 
     def fiber(self, n: int) -> set[int]:
         """Tree indices whose second component is n; size tau(|f(n)|).
@@ -143,7 +127,7 @@ _KERNELS: dict[str, SSeqKernel] = {}
 
 
 def kernel_for(f: EnumerablePoly) -> SSeqKernel:
-    """The (shared, memo-carrying) kernel of f's sequence."""
+    """The shared kernel of f's sequence, one per polynomial name."""
     kernel = _KERNELS.get(f.name)
     if kernel is None:
         if f.monic_negative_constant:
@@ -152,14 +136,6 @@ def kernel_for(f: EnumerablePoly) -> SSeqKernel:
             kernel = SSeqKernel(f, f.beta, 1, dict(_BASE_SEEDS))
         _KERNELS[f.name] = kernel
     return kernel
-
-
-def _matvec(m: Mat3, v: Vec3) -> Vec3:
-    return (
-        m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
-        m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
-        m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2],
-    )
 
 
 def vector_tree_rows(
@@ -182,11 +158,11 @@ def vector_tree_rows(
         row: list[Vec3] = [(0, 1, 1)]
         yield row
         for _ in range(depth):
-            row = [
-                child
-                for v in row
-                for child in (_matvec(L_MATRIX, v), _matvec(R_MATRIX, v))
-            ]
+            children: list[Vec3] = []
+            for a, b, c in row:
+                w, x, y, z = net_expand(a, b, c)
+                children += ((b, w, x), (c, y, z))  # L*v, R*v
+            row = children
             yield row
 
     return rows()

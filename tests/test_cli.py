@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import enumtree
 from enumtree.cli import main
 
 
@@ -201,3 +206,27 @@ def test_large_integers_serialized_as_strings(capsys):
     line = _record_line(2**60, 2**54, 3, "S", 60)
     rec = json.loads(line)
     assert rec["index"] == str(2**60) and rec["m"] == str(2**54) and rec["n"] == 3
+
+
+def test_results_unchanged_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(enumtree.__file__).parents[1]))
+
+    def cli(*flags_and_argv):
+        proc = subprocess.run(
+            [sys.executable, *flags_and_argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stdout
+
+    for argv in (["verify", "recursions"], ["seq", "psi2", "--count", "64", "--format", "json"]):
+        plain = cli("-m", "enumtree.cli", *argv)
+        optimized = cli("-O", "-m", "enumtree.cli", *argv)
+        assert plain[0] == 0 and optimized == plain, argv
+    code, out = cli(
+        "-O", "-c",
+        "from enumtree.pairs import PHI0\n"
+        "from enumtree.sseq import kernel_for\n"
+        "try:\n    kernel_for(PHI0).s_value(0)\n"
+        "except ValueError:\n    print('ValueError')\n",
+    )
+    assert (code, out) == (0, "ValueError\n")

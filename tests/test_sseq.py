@@ -1,12 +1,18 @@
+import random
+import tracemalloc
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enumtree.maps import NodeBudgetExceeded, tree_rows
+from enumtree.maps import NodeBudgetExceeded, f_hat, tree_rows
+from enumtree.monoid import index_to_word, word_to_matrix
 from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1, PSI2
 from enumtree.sseq import (
     L_MATRIX,
     R_MATRIX,
+    SSeqKernel,
     kernel_for,
     net_expand,
     vector_tree_rows,
@@ -39,9 +45,44 @@ def test_s_value_examples():
 def test_power_of_two_boundary_all_kernels():
     for f in ENUMERABLE_POLYS:
         kern = kernel_for(f)
-        for n in range(21):
+        for n in (*range(21), 3000):
             assert kern.s_value(1 << n) == n
             assert kern.s_value((1 << (n + 1)) - 1) == n
+
+
+def test_pair_at_on_deep_fiber_matches_closed_form():
+    kern = kernel_for(PHI0)
+    fiber = kern.fiber(1500)
+    assert len(fiber) >= 2
+    for k in fiber:
+        p = kern.pair_at(k)
+        assert p.n == 1500
+        assert p == f_hat(PHI0, word_to_matrix(index_to_word(k)))
+
+
+def test_pair_at_on_random_deep_indices_matches_closed_form():
+    rng = random.Random(2405)
+    for f in ENUMERABLE_POLYS:
+        kern = kernel_for(f)
+        for _ in range(20):
+            k = rng.getrandbits(2000) | (1 << 1999)
+            assert kern.pair_at(k) == f_hat(f, word_to_matrix(index_to_word(k)))
+
+
+def test_pointwise_lookups_retain_bounded_memory():
+    kern = kernel_for(PSI2)
+    rng = random.Random(800)
+    indices = [rng.getrandbits(800) | (1 << 799) for _ in range(30)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in indices:
+            kern.s_value(k)
+            kern.pair_at(k)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 @given(st.sampled_from(ENUMERABLE_POLYS), st.integers(min_value=1, max_value=3000))
@@ -92,6 +133,9 @@ def test_kernel_parameters():
     assert kernel_for(PHI1).const == 1
     assert kernel_for(PSI2).const == 2 and kernel_for(PSI2).start == 2
     assert kernel_for(PSI2).initial[7] == 2
+    private = SSeqKernel(PHI0, 0, 1, {1: 0, 2: 1, 3: 1})
+    with pytest.raises(FrozenInstanceError):
+        private.const = 5
 
 
 def test_vector_tree_first_rows():
@@ -100,6 +144,15 @@ def test_vector_tree_first_rows():
     assert rows[1] == [(1, 2, 3), (1, 3, 2)]
     assert rows[2] == [(2, 3, 7), (3, 8, 5), (3, 5, 8), (2, 7, 3)]
     assert (3, 8, 5) in rows[2] and (2, 7, 3) in rows[2]
+
+    def matvec(m, v):
+        return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
+
+    rows = list(vector_tree_rows(8))
+    for parents, children in zip(rows, rows[1:]):
+        for j, v in enumerate(parents):
+            assert matvec(L_MATRIX, v) == children[2 * j]
+            assert matvec(R_MATRIX, v) == children[2 * j + 1]
 
 
 def test_vector_tree_recovers_pair_tree():
@@ -209,7 +262,7 @@ def test_kernel_is_shared_singleton():
     assert kernel_for(PHI0) is kernel_for(PHI0)
 
 
-def test_kernel_memo_is_safe_under_concurrent_readers():
+def test_kernel_is_safe_under_concurrent_readers():
     import threading
 
     kern = kernel_for(PHI1)
