@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, primes_up_to, sqrt_mod
-from .maps import DEFAULT_NODE_BUDGET, f_hat_inverse, tree_rows
+from .maps import DEFAULT_NODE_BUDGET, f_hat_inverse, int_tree_rows
 from .pairs import EnumerablePoly, make_pair
 
 __all__ = [
@@ -52,15 +52,13 @@ def row_stats_direct(
     f: EnumerablePoly, k: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> RowStats:
     """Sums over row k of the tree of f, by direct summation."""
-    row = None
-    for row in tree_rows(f, k, max_nodes):
+    for row in int_tree_rows(f, k, max_nodes):
         pass
-    assert row is not None
     return RowStats(
         k=k,
-        m_sum=sum(p.m for p in row),
-        n_sum=sum(p.n for p in row),
-        ratio_sum=sum((Fraction(p.n, p.m) for p in row), Fraction(0)),
+        m_sum=sum(m for m, _ in row),
+        n_sum=sum(n for _, n in row),
+        ratio_sum=sum((Fraction(n, m) for m, n in row), Fraction(0)),
     )
 
 
@@ -134,19 +132,20 @@ def prime_representation(f: EnumerablePoly, p: int, n: int) -> PrimeRepresentati
     if abs(f.poly(n)) % p != 0:
         raise ValueError(f"{p} does not divide |f({n})| = {abs(f.poly(n))}")
     exponents = f_hat_inverse(f, make_pair(p, n, f)).exponents
-    assert exponents and exponents[0] == 0  # guaranteed by n < p
+    if not exponents or exponents[0] != 0:  # impossible for n < p
+        raise ArithmeticError(f"reduction of ({p}, {n}) does not start with a complement")
     m, cur = 1, 0
     ns: list[int] = []
     for alpha in exponents[:0:-1]:
         cur += alpha * m
-        value = abs(f.poly(cur))
-        assert value % m == 0
-        m = value // m
+        m, rest = divmod(abs(f.poly(cur)), m)
+        if rest:
+            raise ArithmeticError(f"replay of ({p}, {n}) left the pair set at n = {cur}")
         ns.append(cur)
-    assert (m, cur) == (p, n)
     signs = tuple((-1) ** (len(ns) - 1 - i) for i in range(len(ns)))
     rep = PrimeRepresentation(p=p, f=f, n_values=tuple(ns), exponents=signs)
-    assert rep.product() == p
+    if (m, cur) != (p, n) or rep.product() != p:
+        raise ArithmeticError(f"replay of ({p}, {n}) does not telescope to {p}")
     return rep
 
 

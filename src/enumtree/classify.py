@@ -139,7 +139,8 @@ def _growth_certified(f: Poly, lower: int) -> bool:
     g[2] -= 3
     while g and g[-1] == 0:
         g.pop()
-    assert g and g[-1] > 0
+    if not g or g[-1] <= 0:
+        raise ValueError(f"2f - 3x^2 has no positive leading coefficient for f = {f}")
     bound = _cauchy_bound(tuple(g))
     for n in range(lower + 1, bound + 1):
         acc = 0
@@ -173,5 +174,6 @@ def composite_witness(f: PolyLike) -> tuple[int, int, int, int]:
     n0 = abs(f(-a)) - a
     value = f(n0)
     q, r = divmod(value, n0 + a)
-    assert r == 0 and q - n0 >= 1, f"witness construction failed at a = {a}"
+    if r != 0 or q - n0 < 1:
+        raise ArithmeticError(f"witness construction failed at a = {a}")
     return (a, n0, n0 + a, q)

@@ -12,7 +12,8 @@ Subcommands:
     primerep  alternating prime-product representation of p at a root n
 
 Exit codes: 0 success, 1 verification failure, 2 budget exceeded or usage
-error, 3 bad pair, 4 polynomial vanishes on the scanned range.
+error, 3 bad pair, 4 polynomial vanishes on the scanned range, 141
+(128 + SIGPIPE) stdout closed by the reader, e.g. by `| head`.
 
 All output is deterministic; integers above 2^53 - 1 are serialized as
 decimal strings in JSON so double-parsing consumers keep exact values.
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import analytics, classify
 from .arith import divisors, is_prime
@@ -32,7 +34,7 @@ from .maps import (
     DEFAULT_NODE_BUDGET,
     NodeBudgetExceeded,
     f_hat_inverse,
-    tree_rows,
+    int_tree_rows,
 )
 from .monoid import index_to_word, word_to_matrix
 from .pairs import ENUMERABLE_POLYS, PHI0, POLY_BY_NAME, make_pair, poly
@@ -48,21 +50,34 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_BAD_PAIR = 3
 EXIT_VANISHING = 4
+EXIT_BROKEN_PIPE = 141
+
+# Lines (or text-row cells) per stdout write: bounded memory, few calls.
+_CHUNK_LINES = 4096
 
 
-def _json_int(v: int):
-    return v if -_SAFE_INT <= v <= _SAFE_INT else str(v)
+def _json_int(v: int) -> str:
+    """v as JSON: a number up to 2^53 - 1 in magnitude, else a decimal string."""
+    return str(v) if -_SAFE_INT <= v <= _SAFE_INT else f'"{v}"'
 
 
 def _record_line(index: int, m: int, n: int, word: str, row: int) -> str:
-    rec = {
-        "index": _json_int(index),
-        "m": _json_int(m),
-        "n": _json_int(n),
-        "word": word,
-        "row": row,
-    }
-    return json.dumps(rec, separators=(",", ":"))
+    return (
+        f'{{"index":{_json_int(index)},"m":{_json_int(m)},"n":{_json_int(n)},'
+        f'"word":"{word}","row":{row}}}'
+    )
+
+
+def _write_joined(parts, sep: str = "\n") -> None:
+    """Write parts to stdout, sep between them and a newline after the last,
+    joining at most _CHUNK_LINES parts per write, never a whole output."""
+    write = sys.stdout.write
+    parts = iter(parts)
+    chunk = list(islice(parts, _CHUNK_LINES))
+    while chunk:
+        write(sep.join(chunk))
+        chunk = list(islice(parts, _CHUNK_LINES))
+        write(sep if chunk else "\n")
 
 
 def _resolve_budget(args) -> int:
@@ -86,23 +101,19 @@ def _resolve_budget(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    f = POLY_BY_NAME[args.poly]
-    try:
-        rows = tree_rows(f, args.depth, _resolve_budget(args))
-    except NodeBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    index = 1
-    for row_idx, row in enumerate(rows):
-        if args.format == "text":
-            print("  " * row_idx + "  ".join(str(p) for p in row))
-            index += len(row)
-        else:
-            # Words are recovered from the heap index: cheap and avoids
-            # threading them through generation.
-            for p in row:
-                print(_record_line(index, p.m, p.n, index_to_word(index), row_idx))
-                index += 1
+    rows = int_tree_rows(POLY_BY_NAME[args.poly], args.depth, _resolve_budget(args))
+    if args.format == "text":
+        for row_idx, row in enumerate(rows):
+            sys.stdout.write("  " * row_idx)
+            _write_joined((f"({m}, {n})" for m, n in row), "  ")
+    else:
+        # Words are recovered from the heap index: cheap and avoids
+        # threading them through generation.
+        _write_joined(
+            _record_line(index, m, n, index_to_word(index), row_idx)
+            for row_idx, row in enumerate(rows)
+            for index, (m, n) in enumerate(row, 1 << row_idx)
+        )
     return EXIT_OK
 
 
@@ -111,15 +122,13 @@ def _cmd_seq(args) -> int:
     kernel = kernel_for(f)
     if args.format == "bfile":
         values = kernel.s_prefix(args.count)
-        for k, v in enumerate(values, start=1):
-            print(f"{k} {v}")
+        _write_joined(f"{k} {v}" for k, v in enumerate(values, start=1))
     else:
-        values = kernel.s_prefix(2 * args.count + 1)
-        for k in range(1, args.count + 1):
-            m = values[2 * k - 1] - values[k - 1]
-            print(
-                _record_line(k, m, values[k - 1], index_to_word(k), k.bit_length() - 1)
-            )
+        s = kernel.s_prefix(2 * args.count + 1)  # s[k - 1] is s(k)
+        _write_joined(
+            _record_line(k, s[2 * k - 1] - s[k - 1], s[k - 1], index_to_word(k), k.bit_length() - 1)
+            for k in range(1, args.count + 1)
+        )
     return EXIT_OK
 
 
@@ -205,22 +214,15 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
 def _cmd_stats(args) -> int:
     f = POLY_BY_NAME[args.poly]
     budget = _resolve_budget(args)
-    try:
-        for k in range(args.kmax + 1):
-            st = analytics.row_stats_direct(f, k, budget)
-            if args.format == "json":
-                rec = {
-                    "k": st.k,
-                    "m_sum": _json_int(st.m_sum),
-                    "n_sum": _json_int(st.n_sum),
-                    "ratio_sum": str(st.ratio_sum),
-                }
-                print(json.dumps(rec, separators=(",", ":")))
-            else:
-                print(f"k={st.k} M={st.m_sum} N={st.n_sum} R={st.ratio_sum}")
-    except NodeBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    for k in range(args.kmax + 1):
+        st = analytics.row_stats_direct(f, k, budget)
+        if args.format == "json":
+            print(
+                f'{{"k":{st.k},"m_sum":{_json_int(st.m_sum)},'
+                f'"n_sum":{_json_int(st.n_sum)},"ratio_sum":"{st.ratio_sum}"}}'
+            )
+        else:
+            print(f"k={st.k} M={st.m_sum} N={st.n_sum} R={st.ratio_sum}")
     return EXIT_OK
 
 
@@ -265,11 +267,11 @@ def _suite_bijectivity(bound: int):
     depth = 12
     for f in ENUMERABLE_POLYS:
         seen = set()
-        for row in tree_rows(f, depth):
-            for p in row:
-                if p.components() in seen:
-                    failures.append(f"{f}: duplicate tree pair {p}")
-                seen.add(p.components())
+        for row in int_tree_rows(f, depth):
+            for pair in row:
+                if pair in seen:
+                    failures.append(f"{f}: duplicate tree pair {pair}")
+                seen.add(pair)
                 checked += 1
         for n in range(1, bound + 1):
             indices = set()
@@ -316,12 +318,12 @@ def _suite_recursions(bound: int):
     depth = bound
     for f in ENUMERABLE_POLYS:
         kernel = kernel_for(f)
-        flat = [p for row in tree_rows(f, depth) for p in row]
+        flat = [pair for row in int_tree_rows(f, depth) for pair in row]
         prefix = kernel.s_prefix(len(flat))
-        for i, p in enumerate(flat):
-            if prefix[i] != p.n:
-                failures.append(f"{f}: s({i + 1}) = {prefix[i]} != tree value {p.n}")
-            if kernel.pair_at(i + 1).components() != p.components():
+        for i, (m, n) in enumerate(flat):
+            if prefix[i] != n:
+                failures.append(f"{f}: s({i + 1}) = {prefix[i]} != tree value {n}")
+            if kernel.pair_at(i + 1).components() != (m, n):
                 failures.append(f"{f}: pair_at({i + 1}) disagrees with tree")
             checked += 1
         wide = kernel.s_prefix(4 * (1 << depth) + 4)
@@ -501,7 +503,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Reader gone (e.g. `| head`): discard the rest so exit's flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .pairs import (
     poly,
     s_bar,
     t_bar,
+    t_step,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "relatives",
     "InverseTrace",
     "f_hat_inverse",
+    "int_tree_rows",
     "tree_rows",
 ]
 
@@ -59,6 +61,15 @@ DEFAULT_NODE_BUDGET = 1 << 21
 
 class NodeBudgetExceeded(RuntimeError):
     """Tree generation was asked for more nodes than the configured budget."""
+
+
+def check_tree_size(depth: int, max_nodes: int) -> None:
+    """Refuse a negative depth, or rows 0..depth beyond max_nodes in total."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    total = (1 << (depth + 1)) - 1
+    if total > max_nodes:
+        raise NodeBudgetExceeded(f"depth {depth} needs {total} nodes, budget is {max_nodes}")
 
 
 def phi_beta(beta: int, x: Mat2) -> DivisorPair:
@@ -73,11 +84,12 @@ def psi_beta(beta: int, x: Mat2) -> DivisorPair:
 
     The max/min choices on both components agree because a >= b iff c >= d
     for every element except the identity; a tie ac == bd forces the identity,
-    which the assertion below pins down.
+    which the check below pins down.
     """
     a, b, c, d = x.a, x.b, x.c, x.d
     ac, bd = a * c, b * d
-    assert ac != bd or (a, b, c, d) == (1, 0, 0, 1), f"unexpected tie at {x!r}"
+    if ac == bd and (a, b, c, d) != (1, 0, 0, 1):
+        raise ValueError(f"unexpected tie at {x!r}")
     m = max(a, b) ** 2 + beta * a * b - min(a, b) ** 2
     n = max(ac, bd) + beta * b * c - min(ac, bd)
     return DivisorPair(m, n, poly(-1, beta, 1))
@@ -179,28 +191,32 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
     )
 
 
-def tree_rows(
+def int_tree_rows(
     f: EnumerablePoly, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> Iterator[list[DivisorPair]]:
-    """Rows 0..depth of the divisor-pair tree of f, breadth first.
+) -> Iterator[list[tuple[int, int]]]:
+    """Rows 0..depth of the divisor-pair tree of f as plain (m, n) tuples.
 
-    Row k holds 2**k pairs; children of each node are s_bar (left) then t_bar
-    (right).  Rows are produced lazily but the total node count is checked
-    against max_nodes up front.
+    Row k holds 2**k pairs, breadth first; children of each node are s_bar
+    (left) then t_bar (right), by integer arithmetic only: the moves keep
+    pairs in the pair set, so nodes are not revalidated.  Rows are produced
+    lazily but depth and the total node count are checked up front.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    total = (1 << (depth + 1)) - 1
-    if total > max_nodes:
-        raise NodeBudgetExceeded(
-            f"depth {depth} needs {total} nodes, budget is {max_nodes}"
-        )
+    check_tree_size(depth, max_nodes)
 
-    def rows() -> Iterator[list[DivisorPair]]:
-        row = [make_pair(1, 0, f)]
+    def rows() -> Iterator[list[tuple[int, int]]]:
+        fp = f.poly
+        row = [(1, 0)]
         yield row
         for _ in range(depth):
-            row = [child for p in row for child in (s_bar(p), t_bar(p))]
+            row = [child for m, n in row for child in ((m, n + m), t_step(fp, m, n))]
             yield row
 
     return rows()
+
+
+def tree_rows(
+    f: EnumerablePoly, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET
+) -> Iterator[list[DivisorPair]]:
+    """The rows of int_tree_rows(f, depth, max_nodes) as DivisorPairs."""
+    rows, fp = int_tree_rows(f, depth, max_nodes), f.poly
+    return ([DivisorPair(m, n, fp) for m, n in row] for row in rows)

@@ -60,6 +60,7 @@ GEN_T = Mat2(1, 1, 0, 1)
 IDENTITY = Mat2(1, 0, 0, 1)
 
 _GEN = {"S": GEN_S, "T": GEN_T}
+_DIGIT_LETTERS = str.maketrans("01", "ST")
 
 
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
@@ -130,15 +131,12 @@ def index_to_word(k: int) -> str:
     """Generator word of the node at heap index k >= 1; inverse of word_to_index.
 
     The binary digits of k after the leading 1, most significant first, give
-    the path from the root; each step prepends its letter to the word.
+    the path from the root; each step prepends its letter to the word, so the
+    word is those digits reversed, 0 -> 'S' and 1 -> 'T'.
     """
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    letters = []
-    while k > 1:
-        letters.append("S" if k % 2 == 0 else "T")
-        k //= 2
-    return "".join(letters)
+    return bin(k)[:2:-1].translate(_DIGIT_LETTERS)
 
 
 def mirror_index(k: int) -> int:

@@ -40,6 +40,7 @@ __all__ = [
     "s_bar",
     "c_bar",
     "t_bar",
+    "t_step",
     "s_bar_inv",
 ]
 
@@ -195,9 +196,20 @@ def c_bar(p: DivisorPair) -> DivisorPair:
     return DivisorPair(value // p.m, p.n, p.poly)
 
 
+def t_step(f: Poly, m: int, n: int) -> tuple[int, int]:
+    """t_bar on integers: (m, n) -> (|f(n + c)| / c, n + c) with c = |f(n)| / m.
+    Nothing is rechecked; (m, n) must be a pair of f with f(n) != 0."""
+    c = abs(f(n)) // m
+    n += c
+    return abs(f(n)) // c, n
+
+
 def t_bar(p: DivisorPair) -> DivisorPair:
-    """Right-child move; the complement-conjugate of s_bar."""
-    return c_bar(s_bar(c_bar(p)))
+    """Right-child move; the complement-conjugate c_bar . s_bar . c_bar of s_bar."""
+    try:
+        return DivisorPair(*t_step(p.poly, p.m, p.n), p.poly)
+    except ZeroDivisionError:  # f(n) = 0: the complement (0, n) is no pair
+        raise ValueError(f"f vanishes at {p.n}, so {p} has no complement") from None
 
 
 def s_bar_inv(p: DivisorPair) -> DivisorPair:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arith import divisors
-from .maps import DEFAULT_NODE_BUDGET, NodeBudgetExceeded, f_hat_inverse
+from .maps import DEFAULT_NODE_BUDGET, check_tree_size, f_hat_inverse
 from .pairs import DivisorPair, EnumerablePoly, make_pair
 
 __all__ = [
@@ -146,13 +146,7 @@ def vector_tree_rows(
     Root (0, 1, 1); left child L*v, right child R*v.  The node at index k is
     (s(k), s(2k), s(2k+1)) and (a, b, c) -> (b - a, a) recovers the pair tree.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    total = (1 << (depth + 1)) - 1
-    if total > max_nodes:
-        raise NodeBudgetExceeded(
-            f"depth {depth} needs {total} nodes, budget is {max_nodes}"
-        )
+    check_tree_size(depth, max_nodes)
 
     def rows() -> Iterator[list[Vec3]]:
         row: list[Vec3] = [(0, 1, 1)]

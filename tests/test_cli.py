@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -230,3 +232,62 @@ def test_results_unchanged_under_python_O():
         "except ValueError:\n    print('ValueError')\n",
     )
     assert (code, out) == (0, "ValueError\n")
+
+
+# stdout SHA-256 of `tree <poly> --depth 13` and `seq <poly> --count 9000`,
+# recorded from the output of the DivisorPair-per-node, print-per-line CLI.
+# Text rows at depth 13 are wider than one write chunk.
+GOLDEN_SHA256 = [
+    ("tree", "phi0", "json", "249c331bfa182096682bd0374d8a21a0b09637b1ef57b3d4e195e6a631c4bbdc"),
+    ("tree", "phi0", "text", "4a9a0e71951e35c03855b5122230f29b074983f472305a8e21223f099e02ad7f"),
+    ("seq", "phi0", "bfile", "645f5a48648f549a73be7b28a68db60b498a0be36a6321d83aad3f096e5cb19d"),
+    ("seq", "phi0", "json", "d7dc8db3911ae7186cf8f8d168dc1a2d6cd9a0605cc8cd127ec888c463281dcd"),
+    ("tree", "phi1", "json", "6129557e852b36c46108eec790f73530c657f4d61faba06636d7d6036bb2bcee"),
+    ("tree", "phi1", "text", "87bcfadacd04ea1e7f093ccc4328d402aa349a3f2b1976adb3245cc26265bb27"),
+    ("seq", "phi1", "bfile", "2dde90ac2f8950aa134ba44ad6f23e62bbf66c5f01119ab00c65a0da7102d898"),
+    ("seq", "phi1", "json", "bc853bc145b941d19c7c7429e044ca2fd239efd09452399b4e606ef8af18d100"),
+    ("tree", "psi2", "json", "31587ef64d53d8777956d5f913fe86c24740c44134b8484c6446d93f468cc4f0"),
+    ("tree", "psi2", "text", "0657cbade5e47d387c6c0a6ac29e17a7d97c170856e9b7919da27c5d5d4d3d5c"),
+    ("seq", "psi2", "bfile", "a72e4a914c5a5894c04204dce7b2d3c7019b7c2b8faca4999206832dd62dfc5c"),
+    ("seq", "psi2", "json", "fba674e3acc0bd2621f818a33627532a9424c49f338c515a5646a52c6c01f5e6"),
+    ("tree", "phi3", "json", "b2325ad4391f428a4fe8c20324d67ed94043364900f10ae62f4a98603a6ae3cc"),
+    ("tree", "phi3", "text", "4e0e8957960313bd90fcf0fd1aba3fb353b80031648088873a72fca0f6976682"),
+    ("seq", "phi3", "bfile", "a1d11391ec13dc634a6ec1e46dc11f50fb02f104d22d520ada10d6218363b8b7"),
+    ("seq", "phi3", "json", "fe90006b2f8ffcf1d385a153654034076daf2d547c0c97481a80e6dc634c5627"),
+]
+
+
+@pytest.mark.parametrize("command, name, fmt, digest", GOLDEN_SHA256)
+def test_output_matches_golden_hash(capsys, command, name, fmt, digest):
+    size = ["--depth", "13"] if command == "tree" else ["--count", "9000"]
+    code, out, _ = run(capsys, command, name, *size, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv", [["tree", "phi0", "--depth", "16"], ["seq", "phi0", "--count", "200000"]]
+)
+def test_closed_stdout_exits_cleanly(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(enumtree.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "enumtree.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+
+
+def test_library_has_no_assert_statements():
+    # Guards must be explicit raises: `python -O` strips assert statements.
+    src = Path(enumtree.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

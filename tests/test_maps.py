@@ -7,6 +7,7 @@ from enumtree.maps import (
     f_hat,
     f_hat_inverse,
     f_hat_via_action,
+    int_tree_rows,
     phi_beta,
     psi_beta,
     relatives,
@@ -195,6 +196,17 @@ def test_tree_budget_enforced():
     # depth check happens before any row is produced
     ok = tree_rows(PHI0, 3, max_nodes=15)
     assert len(list(ok)) == 4
+
+
+def test_int_tree_rows_are_the_tree_rows_components():
+    for f in ENUMERABLE_POLYS:
+        for ints, pairs in zip(int_tree_rows(f, 8), tree_rows(f, 8), strict=True):
+            assert ints == [p.components() for p in pairs]
+    # both checks happen at the call, before any row is produced
+    with pytest.raises(NodeBudgetExceeded):
+        int_tree_rows(PHI0, 10, max_nodes=100)
+    with pytest.raises(ValueError):
+        int_tree_rows(PHI0, -1)
 
 
 def test_boundary_law():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,7 +93,7 @@ def test_index_examples():
 
 
 def test_index_against_breadth_first_enumeration():
-    for position, w in enumerate(bfs_words(6), start=1):
+    for position, w in enumerate(bfs_words(12), start=1):
         assert word_to_index(w) == position
         assert index_to_word(position) == w
 
@@ -104,6 +106,15 @@ def test_index_round_trip(w):
 @given(st.integers(min_value=1, max_value=2**40))
 def test_index_round_trip_from_int(k):
     assert word_to_index(index_to_word(k)) == k
+
+
+def test_index_round_trip_on_deep_indices():
+    rng = random.Random(2000)
+    for _ in range(20):
+        k = rng.getrandbits(2000) | (1 << 2000)
+        word = index_to_word(k)
+        assert len(word) == 2000
+        assert word_to_index(word) == k
 
 
 def test_index_validation():

@@ -19,6 +19,7 @@ from enumtree.pairs import (
     s_bar,
     s_bar_inv,
     t_bar,
+    t_step,
 )
 from oracles import trial_divisors
 
@@ -116,6 +117,17 @@ def test_c_bar_is_involution(p):
 @given(divisor_pairs())
 def test_t_bar_is_conjugated_s_bar(p):
     assert t_bar(p) == c_bar(s_bar(c_bar(p)))
+
+
+@given(divisor_pairs())
+def test_t_step_is_t_bar_on_integers(p):
+    assert t_step(p.poly, p.m, p.n) == c_bar(s_bar(c_bar(p))).components()
+
+
+def test_t_bar_where_f_vanishes_is_a_value_error():
+    f = poly(-1, 1)  # x - 1 vanishes at 1
+    with pytest.raises(ValueError):
+        t_bar(make_pair(1, 1, f))
 
 
 @given(divisor_pairs())
