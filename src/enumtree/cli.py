@@ -35,6 +35,7 @@ from .maps import (
     NodeBudgetExceeded,
     f_hat_inverse,
     int_tree_rows,
+    tree_rows,
 )
 from .monoid import index_to_word, word_to_matrix
 from .pairs import ENUMERABLE_POLYS, PHI0, POLY_BY_NAME, make_pair, poly
@@ -101,18 +102,18 @@ def _resolve_budget(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    rows = int_tree_rows(POLY_BY_NAME[args.poly], args.depth, _resolve_budget(args))
+    rows = tree_rows(POLY_BY_NAME[args.poly], args.depth, _resolve_budget(args))
     if args.format == "text":
         for row_idx, row in enumerate(rows):
             sys.stdout.write("  " * row_idx)
-            _write_joined((f"({m}, {n})" for m, n in row), "  ")
+            _write_joined((f"({p.m}, {p.n})" for p in row), "  ")
     else:
         # Words are recovered from the heap index: cheap and avoids
         # threading them through generation.
         _write_joined(
-            _record_line(index, m, n, index_to_word(index), row_idx)
+            _record_line(index, p.m, p.n, index_to_word(index), row_idx)
             for row_idx, row in enumerate(rows)
-            for index, (m, n) in enumerate(row, 1 << row_idx)
+            for index, p in enumerate(row, 1 << row_idx)
         )
     return EXIT_OK
 

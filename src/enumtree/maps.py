@@ -217,6 +217,19 @@ def int_tree_rows(
 def tree_rows(
     f: EnumerablePoly, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> Iterator[list[DivisorPair]]:
-    """The rows of int_tree_rows(f, depth, max_nodes) as DivisorPairs."""
-    rows, fp = int_tree_rows(f, depth, max_nodes), f.poly
-    return ([DivisorPair(m, n, fp) for m, n in row] for row in rows)
+    """Rows 0..depth of the divisor-pair tree of f, breadth first.
+
+    Row k holds 2**k pairs; children of each node are s_bar (left) then t_bar
+    (right).  The components are those of int_tree_rows; the checks are the
+    same and also happen at the call.
+    """
+    check_tree_size(depth, max_nodes)
+
+    def rows() -> Iterator[list[DivisorPair]]:
+        row = [make_pair(1, 0, f)]
+        yield row
+        for _ in range(depth):
+            row = [child for p in row for child in (s_bar(p), t_bar(p))]
+            yield row
+
+    return rows()

@@ -185,15 +185,31 @@ def make_pair(m: int, n: int, f: PolyLike) -> DivisorPair:
     return DivisorPair(m, n, as_poly(f))
 
 
+# The moves map pairs of f to pairs of f, so their results are built without
+# the membership check of DivisorPair.__init__: slots are filled directly.
+_new = object.__new__
+_set_m, _set_n, _set_poly = (DivisorPair.__dict__[k].__set__ for k in ("m", "n", "poly"))
+
+
+def _moved(m: int, n: int, f: Poly) -> DivisorPair:
+    p = _new(DivisorPair)
+    _set_m(p, m)
+    _set_n(p, n)
+    _set_poly(p, f)
+    return p
+
+
 def s_bar(p: DivisorPair) -> DivisorPair:
     """Left-child move (m, n) -> (m, n + m)."""
-    return DivisorPair(p.m, p.n + p.m, p.poly)
+    return _moved(p.m, p.n + p.m, p.poly)
 
 
 def c_bar(p: DivisorPair) -> DivisorPair:
     """Complement move (m, n) -> (|f(n)| / m, n); an involution."""
     value = abs(p.poly(p.n))
-    return DivisorPair(value // p.m, p.n, p.poly)
+    if value == 0:  # the complement (0, n) is no pair
+        raise ValueError(f"f vanishes at {p.n}, so {p} has no complement")
+    return _moved(value // p.m, p.n, p.poly)
 
 
 def t_step(f: Poly, m: int, n: int) -> tuple[int, int]:
@@ -205,15 +221,12 @@ def t_step(f: Poly, m: int, n: int) -> tuple[int, int]:
 
 
 def t_bar(p: DivisorPair) -> DivisorPair:
-    """Right-child move; the complement-conjugate c_bar . s_bar . c_bar of s_bar."""
-    try:
-        return DivisorPair(*t_step(p.poly, p.m, p.n), p.poly)
-    except ZeroDivisionError:  # f(n) = 0: the complement (0, n) is no pair
-        raise ValueError(f"f vanishes at {p.n}, so {p} has no complement") from None
+    """Right-child move; the complement-conjugate of s_bar."""
+    return c_bar(s_bar(c_bar(p)))
 
 
 def s_bar_inv(p: DivisorPair) -> DivisorPair:
     """Inverse of s_bar; requires n >= m to stay in the nonnegative quadrant."""
     if p.n < p.m:
         raise ValueError(f"cannot invert the left-child move at {p}: n < m")
-    return DivisorPair(p.m, p.n - p.m, p.poly)
+    return _moved(p.m, p.n - p.m, p.poly)

@@ -103,10 +103,12 @@ def divisor_pairs(draw):
 
 @given(divisor_pairs())
 def test_moves_preserve_membership(p):
-    # construction re-validates divisibility, so surviving is the assertion
-    for q in (s_bar(p), c_bar(p), t_bar(p)):
+    # moves build their results without the constructor's check
+    for q in (s_bar(p), c_bar(p), t_bar(p), s_bar_inv(s_bar(p))):
         assert q.poly == p.poly
+        assert q.m >= 1 and q.n >= 0
         assert abs(q.poly(q.n)) % q.m == 0
+        assert q == DivisorPair(q.m, q.n, q.poly)
 
 
 @given(divisor_pairs())
@@ -124,10 +126,11 @@ def test_t_step_is_t_bar_on_integers(p):
     assert t_step(p.poly, p.m, p.n) == c_bar(s_bar(c_bar(p))).components()
 
 
-def test_t_bar_where_f_vanishes_is_a_value_error():
+def test_moves_where_f_vanishes_are_value_errors():
     f = poly(-1, 1)  # x - 1 vanishes at 1
-    with pytest.raises(ValueError):
-        t_bar(make_pair(1, 1, f))
+    for move in (c_bar, t_bar):
+        with pytest.raises(ValueError):
+            move(make_pair(1, 1, f))
 
 
 @given(divisor_pairs())
