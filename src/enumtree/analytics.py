@@ -21,6 +21,8 @@ equal-valued adjacent factors are deliberately left uncancelled.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .arith import is_prime, primes_up_to, sqrt_mod
 from .maps import DEFAULT_NODE_BUDGET, f_hat_inverse, int_tree_rows
@@ -28,6 +30,7 @@ from .pairs import EnumerablePoly, make_pair
 
 __all__ = [
     "RowStats",
+    "row_stats",
     "row_stats_direct",
     "row_stats_recursive",
     "ratio_closed_form",
@@ -48,18 +51,32 @@ class RowStats:
     ratio_sum: Fraction
 
 
+def row_stats(k: int, row: list[tuple[int, int]]) -> RowStats:
+    """Sums over row k given as its (m, n) pairs, by direct summation.
+
+    The n sharing a denominator m are added as integers; the terms N_m / m are
+    then summed as a balanced binary tree, merged like a binary counter (after
+    the i-th term the stack holds one partial sum per set bit of i).
+    """
+    row = sorted(row)
+    stack: list[Fraction] = []
+    for i, (m, group) in enumerate(groupby(row, key=itemgetter(0)), 1):
+        term = Fraction(sum(n for _, n in group), m)
+        while not i & 1:
+            term = stack.pop() + term
+            i >>= 1
+        stack.append(term)
+    ratio_sum = sum(reversed(stack), Fraction(0))
+    return RowStats(k, sum(m for m, _ in row), sum(n for _, n in row), ratio_sum)
+
+
 def row_stats_direct(
     f: EnumerablePoly, k: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> RowStats:
     """Sums over row k of the tree of f, by direct summation."""
     for row in int_tree_rows(f, k, max_nodes):
         pass
-    return RowStats(
-        k=k,
-        m_sum=sum(m for m, _ in row),
-        n_sum=sum(n for _, n in row),
-        ratio_sum=sum((Fraction(n, m) for m, n in row), Fraction(0)),
-    )
+    return row_stats(k, row)
 
 
 def row_stats_recursive(k: int) -> RowStats:

@@ -12,7 +12,8 @@ Subcommands:
     primerep  alternating prime-product representation of p at a root n
 
 Exit codes: 0 success, 1 verification failure, 2 budget exceeded or usage
-error, 3 bad pair, 4 polynomial vanishes on the scanned range, 141
+error, 3 bad pair, 4 polynomial vanishes on the scanned range, 5 arithmetic
+give-up (factorization limit, unreducible pair, number too large), 141
 (128 + SIGPIPE) stdout closed by the reader, e.g. by `| head`.
 
 All output is deterministic; integers above 2^53 - 1 are serialized as
@@ -29,10 +30,11 @@ from fractions import Fraction
 from itertools import islice
 
 from . import analytics, classify
-from .arith import divisors, is_prime
+from .arith import FactorLimitExceeded, divisors, is_prime
 from .maps import (
     DEFAULT_NODE_BUDGET,
     NodeBudgetExceeded,
+    check_tree_size,
     f_hat_inverse,
     int_tree_rows,
     tree_rows,
@@ -51,6 +53,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_BAD_PAIR = 3
 EXIT_VANISHING = 4
+EXIT_ARITHMETIC = 5
 EXIT_BROKEN_PIPE = 141
 
 # Lines (or text-row cells) per stdout write: bounded memory, few calls.
@@ -94,6 +97,15 @@ def _resolve_budget(args) -> int:
             raise ValueError(f"ENUMTREE_MAX_NODES must be a positive integer, got {env!r}")
         return value
     return DEFAULT_NODE_BUDGET
+
+
+def _rows_within_budget(f, depth: int, budget: int):
+    """Rows 0..depth of f as (m, n) tuples, one walk; the rows that fit the
+    budget come out before the first one that does not is refused."""
+    fits = min(depth, (max(budget, 0) + 1).bit_length() - 2)
+    yield from int_tree_rows(f, fits, budget) if fits >= 0 else ()
+    if fits < depth:
+        check_tree_size(fits + 1, budget)
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +225,9 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
 
 
 def _cmd_stats(args) -> int:
-    f = POLY_BY_NAME[args.poly]
-    budget = _resolve_budget(args)
-    for k in range(args.kmax + 1):
-        st = analytics.row_stats_direct(f, k, budget)
+    rows = _rows_within_budget(POLY_BY_NAME[args.poly], args.kmax, _resolve_budget(args))
+    for k, row in enumerate(rows):
+        st = analytics.row_stats(k, row)
         if args.format == "json":
             print(
                 f'{{"k":{st.k},"m_sum":{_json_int(st.m_sum)},'
@@ -344,14 +355,10 @@ def _suite_recursions(bound: int):
 
 def _suite_rowsums(bound: int):
     checked, failures = 0, []
-    for k in range(bound + 1):
-        direct = analytics.row_stats_direct(PHI0, k)
+    for k, row in enumerate(_rows_within_budget(PHI0, bound, DEFAULT_NODE_BUDGET)):
+        direct = analytics.row_stats(k, row)
         rec = analytics.row_stats_recursive(k)
-        if (direct.m_sum, direct.n_sum, direct.ratio_sum) != (
-            rec.m_sum,
-            rec.n_sum,
-            rec.ratio_sum,
-        ):
+        if direct != rec:
             failures.append(f"row {k}: recursion disagrees with direct sums")
         if rec.ratio_sum != analytics.ratio_closed_form(k):
             failures.append(f"row {k}: ratio closed form disagrees")
@@ -495,12 +502,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NodeBudgetExceeded as exc:
+    except (NodeBudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (FactorLimitExceeded, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_ARITHMETIC
 
 
 def console_main() -> None:

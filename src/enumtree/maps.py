@@ -34,7 +34,6 @@ from .pairs import (
     ENUMERABLE_POLYS,
     DivisorPair,
     EnumerablePoly,
-    Poly,
     make_pair,
     poly,
     s_bar,
@@ -52,6 +51,7 @@ __all__ = [
     "relatives",
     "InverseTrace",
     "f_hat_inverse",
+    "f_hat_inverse_index",
     "int_tree_rows",
     "tree_rows",
 ]
@@ -133,17 +133,20 @@ class InverseTrace:
     index: int
 
 
-def _reduce(f: Poly, m: int, n: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Peel (m, n) down to (1, 0), returning exponents and visited pairs."""
+def _reduce(f: EnumerablePoly, p: DivisorPair) -> tuple[list[int], list[tuple[int, int]]]:
+    """Peel p, a pair of the tree of f, down to (1, 0): exponents, visited pairs."""
+    if p.poly != f.poly:
+        raise ValueError(f"pair {p} belongs to {p.poly}, not to {f.poly}")
+    fp, m, n = f.poly, p.m, p.n
     exponents: list[int] = []
     chain = [(m, n)]
     while (m, n) != (1, 0):
-        cof = abs(f(n)) // m
+        cof = abs(fp(n)) // m
         lo, hi = min(m, cof), max(m, cof)
         if not (lo <= n < hi):
             side = "min" if lo > n else "max"
             raise ArithmeticError(
-                f"pair ({m}, {n}) of f = {f} violates the reachability bound"
+                f"pair ({m}, {n}) of f = {fp} violates the reachability bound"
                 f" ({side} side); it cannot be reduced to the root"
             )
         q = n // m
@@ -151,7 +154,7 @@ def _reduce(f: Poly, m: int, n: int) -> tuple[list[int], list[tuple[int, int]]]:
         if q:
             n -= q * m
             chain.append((m, n))
-        m = abs(f(n)) // m
+        m = abs(fp(n)) // m
         if (m, n) != chain[-1]:
             chain.append((m, n))
     return exponents, chain
@@ -175,20 +178,20 @@ def _index_from_exponents(exponents: list[int]) -> int:
 
 
 def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
-    """Invert the tree map at p: word, index, and the full reduction chain.
-
-    p must belong to the tree of f; pairs built for a different polynomial are
-    rejected.
-    """
-    if p.poly != f.poly:
-        raise ValueError(f"pair {p} belongs to {p.poly}, not to {f.poly}")
-    exponents, chain = _reduce(f.poly, p.m, p.n)
+    """Invert the tree map at p (a pair of the tree of f): word, index, and
+    the full reduction chain."""
+    exponents, chain = _reduce(f, p)
     return InverseTrace(
         exponents=tuple(exponents),
         pairs=tuple(DivisorPair(m, n, f.poly) for m, n in chain),
         word=_word_from_exponents(exponents),
         index=_index_from_exponents(exponents),
     )
+
+
+def f_hat_inverse_index(f: EnumerablePoly, p: DivisorPair) -> int:
+    """f_hat_inverse(f, p).index, without building the word or the chain pairs."""
+    return _index_from_exponents(_reduce(f, p)[0])
 
 
 def int_tree_rows(

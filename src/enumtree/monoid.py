@@ -61,6 +61,7 @@ IDENTITY = Mat2(1, 0, 0, 1)
 
 _GEN = {"S": GEN_S, "T": GEN_T}
 _DIGIT_LETTERS = str.maketrans("01", "ST")
+_LETTER_DIGITS = str.maketrans("ST", "01")
 
 
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
@@ -121,10 +122,7 @@ def matrix_to_word(x: Mat2) -> str:
 def word_to_index(word: str) -> int:
     """Heap index of the tree node named by word (root is 1)."""
     _check_word(word)
-    k = 1
-    for letter in reversed(word):
-        k = 2 * k if letter == "S" else 2 * k + 1
-    return k
+    return int("1" + word[::-1].translate(_LETTER_DIGITS), 2)
 
 
 def index_to_word(k: int) -> str:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arith import divisors
-from .maps import DEFAULT_NODE_BUDGET, check_tree_size, f_hat_inverse
+from .maps import DEFAULT_NODE_BUDGET, check_tree_size, f_hat_inverse_index
 from .pairs import DivisorPair, EnumerablePoly, make_pair
 
 __all__ = [
@@ -99,13 +99,13 @@ class SSeqKernel:
     def fiber(self, n: int) -> set[int]:
         """Tree indices whose second component is n; size tau(|f(n)|).
 
-        One inverse run per divisor of |f(n)| instead of a tree scan.
+        One index-only inverse run per divisor of |f(n)|, not a tree scan.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         value = abs(self.poly.poly(n))
         return {
-            f_hat_inverse(self.poly, make_pair(m, n, self.poly)).index
+            f_hat_inverse_index(self.poly, make_pair(m, n, self.poly))
             for m in divisors(value)
         }
 

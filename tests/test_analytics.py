@@ -7,9 +7,11 @@ from enumtree.analytics import (
     primes_with_divisor,
     ratio_closed_form,
     roots_mod_p,
+    row_stats,
     row_stats_direct,
     row_stats_recursive,
 )
+from enumtree.maps import int_tree_rows, tree_rows
 from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1
 from oracles import quadratic_roots_scan, trial_is_prime
 
@@ -31,6 +33,24 @@ def test_row_stats_direct_other_trees():
     # row 1 of x^2+x+1 holds (1,1) and (3,1)
     st1 = row_stats_direct(PHI1, 1)
     assert (st1.m_sum, st1.n_sum, st1.ratio_sum) == (4, 2, Fraction(4, 3))
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_row_sums_match_naive_left_to_right_sums(f):
+    for k, row in enumerate(tree_rows(f, 11)):
+        ratio = Fraction(0)
+        for p in row:
+            ratio = ratio + Fraction(p.n, p.m)
+        expected = (sum(p.m for p in row), sum(p.n for p in row), ratio)
+        st = row_stats_direct(f, k)
+        assert (st.k, st.m_sum, st.n_sum, st.ratio_sum) == (k, *expected)
+        st = row_stats(k, [p.components() for p in reversed(row)])
+        assert (st.k, st.m_sum, st.n_sum, st.ratio_sum) == (k, *expected)
+
+
+def test_phi0_row_ratio_sums_match_closed_form():
+    for k, row in enumerate(int_tree_rows(PHI0, 16)):
+        assert row_stats(k, row).ratio_sum == ratio_closed_form(k)
 
 
 def test_row_stats_recursive_examples():

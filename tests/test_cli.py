@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import enumtree
+from enumtree import arith
+from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import main
 
 
@@ -159,6 +161,28 @@ def test_stats_text_and_json(capsys):
     assert recs[1] == {"k": 1, "m_sum": 3, "n_sum": 2, "ratio_sum": "3/2"}
 
 
+def test_stats_prints_rows_within_budget_before_refusing(capsys):
+    code, out, err = run(capsys, "stats", "phi0", "--kmax", "5", "--max-nodes", "20")
+    assert code == 2 and "depth 4 needs 31 nodes" in err
+    assert [line.split()[0] for line in out.splitlines()] == ["k=0", "k=1", "k=2", "k=3"]
+    code, out, _ = run(capsys, "stats", "phi0", "--kmax", "-1")
+    assert code == 0 and out == ""
+
+
+@pytest.mark.parametrize(
+    "exc", [FactorLimitExceeded("rho schedule exhausted"), ArithmeticError("unreachable pair")]
+)
+def test_arithmetic_give_up_has_its_own_exit_code(capsys, monkeypatch, exc):
+    def give_up(n):
+        raise exc
+
+    monkeypatch.setattr(arith, "factorize", give_up)
+    code, out, err = run(capsys, "fiber", "phi0", "10")
+    assert code == 5
+    assert err == f"error: {exc}\n"
+    assert "Traceback" not in err
+
+
 def test_primerep(capsys):
     code, out, _ = run(capsys, "primerep", "phi0", "113", "15")
     assert code == 0
@@ -261,6 +285,53 @@ GOLDEN_SHA256 = [
 def test_output_matches_golden_hash(capsys, command, name, fmt, digest):
     size = ["--depth", "13"] if command == "tree" else ["--count", "9000"]
     code, out, _ = run(capsys, command, name, *size, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout SHA-256 of `stats` and `fiber`, recorded from the CLI that summed
+# every ratio n/m left to right and built the full inverse trace per divisor.
+GOLDEN_STATS_SHA256 = [
+    ("phi0", "12", "text", "641771363279211dbd85e109a520c7ef279c01f1d9e279484f080f3fcbf21b29"),
+    ("phi0", "12", "json", "5a03135ad7a981516f3d8c46d3376d6bae00fc5c46bcf0076b95d76dba8d8252"),
+    ("phi1", "12", "text", "580347d17b898ddf83a8311f48d62a53a85ae08dab29d675c5574f84895e0438"),
+    ("phi1", "12", "json", "f15e9623a7b9a5b293e97292b4585330a49bbf342d1ffb2816f86627087f494f"),
+    ("psi2", "12", "text", "46dd45e22d1042edb88541b009b0c405ef1f955305ec8675cb17104d50f4358a"),
+    ("psi2", "12", "json", "07a4ddbb04169340f4da45556b87b5f854b792b7021836843d58667232482082"),
+    ("phi3", "12", "text", "f53c6dbe18337e5463167e4b6fd501d335ca071c4acab42c6110fb070adf206e"),
+    ("phi3", "12", "json", "b30cf1e21a1333d5b1320b7ab11b5e4c408317e98a9840835dfa77b80ef06bbf"),
+    ("phi0", "14", "json", "411c198efe0d00a124377ce6ee94a826d419435d3fa2a2b5de8cd072c7a7cb26"),
+]
+GOLDEN_FIBER_SHA256 = [
+    ("phi0", "10", "beccc80fd56d9d0d4bf9d0313d1b3ba1ebf93a0224b790454f12a992e6bf7be5"),
+    ("phi0", "97", "84008265c8e1516ddd9c58069732a7494f96fe1c36e6e5e36eff6273ad367e39"),
+    ("phi0", "1000", "cfdaf278d518df9fd1d32449d613c927d68f316b0566c257815adef4df10044c"),
+    ("phi0", "3000", "e3b2e66f4f5af765d06ac1d66b9c010e38a5f76c5b80e80d11c0786a3f247473"),
+    ("phi1", "10", "3911ad8e6d3b37c76e426cac44fa2555cc36ee40cd763a87b7fafc9ce9282003"),
+    ("phi1", "97", "5d887a3c65964f9140eda819ba9d73ba2661af945fb20e89d3929975b2e0287d"),
+    ("phi1", "1000", "32b42abde4a953603beb264e621e5c7da809a1fdb4eca787a61acfc6f1e20ecb"),
+    ("phi1", "3000", "11a34a568e1727aa7c94b86c3fca585196d02cac77d4553e23f991f43caa8f9a"),
+    ("psi2", "10", "ad58180ae3953d8386a952935f6fcdc5b488ca44cdabad1ea4165a95f271843b"),
+    ("psi2", "97", "aea52a5681281e0d85bc2b17efed3f98afb82e725cbaf3aa1203f6019e28e012"),
+    ("psi2", "1000", "7892d45544c9267fe14973e3a0ac909d790ca571999e02611eedd372b72f9c69"),
+    ("psi2", "3000", "4c132c50f36e4250b0a7e0e3f716efb5c8205b12d9ef8ff033840253d082ab38"),
+    ("phi3", "10", "4de18c3076b44e635e4aca8eadeeb67928df92b8549ca498a775f8f8e5a54edd"),
+    ("phi3", "97", "a7aa3c40a4a9265a8d36bcfc4a4c4ce3dd18acca28f18bf94d5e7ac62282ea26"),
+    ("phi3", "1000", "1c5db8a8192f874040b3b15a53e35dc6741ec69c759cf8bad439a74042758824"),
+    ("phi3", "3000", "6c83c7aea450eae0396b8d67f40cff1334cacff7394ab334f1425bf14c32aea2"),
+]
+
+
+@pytest.mark.parametrize("name, kmax, fmt, digest", GOLDEN_STATS_SHA256)
+def test_stats_matches_golden_hash(capsys, name, kmax, fmt, digest):
+    code, out, _ = run(capsys, "stats", name, "--kmax", kmax, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, n, digest", GOLDEN_FIBER_SHA256)
+def test_fiber_matches_golden_hash(capsys, name, n, digest):
+    code, out, _ = run(capsys, "fiber", name, n)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -117,9 +117,19 @@ def test_index_round_trip_on_deep_indices():
         assert word_to_index(word) == k
 
 
+def test_index_round_trip_on_long_words():
+    rng = random.Random(80000)
+    word = "".join(rng.choice("ST") for _ in range(80000))
+    k = word_to_index(word)
+    assert k.bit_length() == 80001
+    assert index_to_word(k) == word
+
+
 def test_index_validation():
     with pytest.raises(ValueError):
         index_to_word(0)
+    with pytest.raises(ValueError):
+        word_to_index("ST1")
     with pytest.raises(ValueError):
         word_to_matrix("SXT")
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enumtree.maps import NodeBudgetExceeded, f_hat, tree_rows
+from enumtree.arith import divisors
+from enumtree.maps import NodeBudgetExceeded, f_hat, f_hat_inverse, tree_rows
 from enumtree.monoid import index_to_word, word_to_matrix
-from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1, PSI2
+from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1, PSI2, make_pair
 from enumtree.sseq import (
     L_MATRIX,
     R_MATRIX,
@@ -226,6 +227,16 @@ def test_fiber_examples():
     assert k0.fiber(3) == {5, 6, 8, 15}
     assert k0.fiber(1) == {2, 3}
     assert k0.fiber(0) == {1}
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_fiber_matches_full_inverse_traces(f):
+    kern = kernel_for(f)
+    for n in [*range(301), 2000, 5000]:
+        expected = {
+            f_hat_inverse(f, make_pair(m, n, f)).index for m in divisors(abs(f.poly(n)))
+        }
+        assert kern.fiber(n) == expected, (f.name, n)
 
 
 def test_fiber_sizes_match_divisor_count():
