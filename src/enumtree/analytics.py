@@ -19,14 +19,17 @@ inverse-reduction chain of (p, n):
 equal-valued adjacent factors are deliberately left uncancelled.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
+from ._record import Record, set_field
 from .arith import is_prime, primes_up_to, sqrt_mod
 from .maps import DEFAULT_NODE_BUDGET, f_hat_inverse, int_tree_rows
 from .pairs import EnumerablePoly, make_pair
+
+if TYPE_CHECKING:  # fractions is imported where a Fraction is built
+    from fractions import Fraction
 
 __all__ = [
     "RowStats",
@@ -41,14 +44,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class RowStats:
+class RowStats(Record):
     """Exact sums over one tree row: first components, second components, n/m."""
 
-    k: int
-    m_sum: int
-    n_sum: int
-    ratio_sum: Fraction
+    __slots__ = ("k", "m_sum", "n_sum", "ratio_sum")
+
+    def __init__(self, k: int, m_sum: int, n_sum: int, ratio_sum: "Fraction") -> None:
+        set_field(self, "k", k)
+        set_field(self, "m_sum", m_sum)
+        set_field(self, "n_sum", n_sum)
+        set_field(self, "ratio_sum", ratio_sum)
 
 
 def row_stats(k: int, row: list[tuple[int, int]]) -> RowStats:
@@ -58,6 +63,7 @@ def row_stats(k: int, row: list[tuple[int, int]]) -> RowStats:
     then summed as a balanced binary tree, merged like a binary counter (after
     the i-th term the stack holds one partial sum per set bit of i).
     """
+    from fractions import Fraction
     row = sorted(row)
     stack: list[Fraction] = []
     for i, (m, group) in enumerate(groupby(row, key=itemgetter(0)), 1):
@@ -85,6 +91,7 @@ def row_stats_recursive(k: int) -> RowStats:
     The ratio increment 3 * 2^(k-2) is fractional at k = 1; carried exactly as
     Fraction(3 * 2^k, 4), which reproduces the closed form at every k.
     """
+    from fractions import Fraction
     if k < 0:
         raise ValueError(f"row index must be >= 0, got {k}")
     m_prev, m_cur = 1, 3
@@ -100,15 +107,15 @@ def row_stats_recursive(k: int) -> RowStats:
     return RowStats(k, m_cur, n_cur, r)
 
 
-def ratio_closed_form(k: int) -> Fraction:
+def ratio_closed_form(k: int) -> "Fraction":
     """(3/2)(2^k - 1), the exact ratio sum of row k of the x^2 + 1 tree."""
+    from fractions import Fraction
     if k < 0:
         raise ValueError(f"row index must be >= 0, got {k}")
     return Fraction(3, 2) * ((1 << k) - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeRepresentation:
+class PrimeRepresentation(Record):
     """p as an alternating product of |f(n)| values, largest n first.
 
     exponents[i] is the +/-1 power of |f(n_values[i])|; the largest n carries
@@ -116,10 +123,15 @@ class PrimeRepresentation:
     and below p.
     """
 
-    p: int
-    f: EnumerablePoly
-    n_values: tuple[int, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ("p", "f", "n_values", "exponents")
+
+    def __init__(
+        self, p: int, f: EnumerablePoly, n_values: tuple[int, ...], exponents: tuple[int, ...]
+    ) -> None:
+        set_field(self, "p", p)
+        set_field(self, "f", f)
+        set_field(self, "n_values", n_values)
+        set_field(self, "exponents", exponents)
 
     def factors(self) -> list[tuple[int, int]]:
         """(|f(n)|, exponent) pairs aligned with n_values."""
@@ -127,7 +139,8 @@ class PrimeRepresentation:
             (abs(self.f.poly(n)), e) for n, e in zip(self.n_values, self.exponents)
         ]
 
-    def product(self) -> Fraction:
+    def product(self) -> "Fraction":
+        from fractions import Fraction
         out = Fraction(1)
         for value, e in self.factors():
             out *= Fraction(value) ** e

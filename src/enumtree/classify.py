@@ -20,8 +20,7 @@ outright: pick a with |f(-a)| > 3a and 2 f(n) > 3 n^2 for all n > 2a; then
 n0 = |f(-a)| - a gives f(n0) = (n0 + a)(n0 + b) with both factors above n0.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .arith import divisors
 from .pairs import Poly, PolyLike, as_poly
 
@@ -49,15 +48,17 @@ class PolynomialVanishes(ValueError):
         super().__init__(f"f = {f} vanishes at n = {root}")
 
 
-@dataclass(frozen=True, slots=True)
-class ViolationCertificate:
+class ViolationCertificate(Record):
     """One pair breaking the reachability inequality, with the failed instance."""
 
-    f: Poly
-    m: int
-    n: int
-    side: str  # LEFT or RIGHT
-    detail: str
+    __slots__ = ("f", "m", "n", "side", "detail")
+
+    def __init__(self, f: Poly, m: int, n: int, side: str, detail: str) -> None:
+        set_field(self, "f", f)
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "side", side)  # LEFT or RIGHT
+        set_field(self, "detail", detail)
 
 
 def check_condition(f: PolyLike, m: int, n: int) -> ViolationCertificate | None:

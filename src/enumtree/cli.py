@@ -23,10 +23,8 @@ ENUMTREE_MAX_NODES environment variable (the flag wins).
 """
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 from itertools import islice
 
 from . import analytics, classify
@@ -85,18 +83,17 @@ def _write_joined(parts, sep: str = "\n") -> None:
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "max_nodes", None) is not None:
-        return args.max_nodes
-    env = os.environ.get("ENUMTREE_MAX_NODES")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(f"ENUMTREE_MAX_NODES must be a positive integer, got {env!r}")
-        return value
-    return DEFAULT_NODE_BUDGET
+    name, raw = "--max-nodes", getattr(args, "max_nodes", None)
+    if raw is None:
+        name = "ENUMTREE_MAX_NODES"
+        raw = os.environ.get(name, DEFAULT_NODE_BUDGET)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _rows_within_budget(f, depth: int, budget: int):
@@ -164,14 +161,15 @@ def _cmd_inverse(args) -> int:
 def _cmd_fiber(args) -> int:
     f = POLY_BY_NAME[args.poly]
     kernel = kernel_for(f)
-    indices = sorted(kernel.fiber(args.n))
+    fiber = kernel.fiber(args.n)
+    indices = sorted(fiber)
     value = abs(f.poly(args.n))
     print(f"n: {args.n}")
     print(f"|f(n)|: {value}")
     print(f"tau: {len(indices)}")
     print("indices: " + " ".join(str(i) for i in indices))
     if args.n >= 1:
-        verdict = "prime" if kernel.is_f_prime_via_fiber(args.n) else "composite"
+        verdict = "prime" if kernel.is_f_prime_via_fiber(args.n, fiber) else "composite"
         print(f"verdict: {verdict}")
     return EXIT_OK
 
@@ -354,6 +352,7 @@ def _suite_recursions(bound: int):
 
 
 def _suite_rowsums(bound: int):
+    from fractions import Fraction
     checked, failures = 0, []
     for k, row in enumerate(_rows_within_budget(PHI0, bound, DEFAULT_NODE_BUDGET)):
         direct = analytics.row_stats(k, row)
@@ -417,6 +416,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    import json
     runner, default_bound = _SUITES[args.suite]
     bound = args.bound if args.bound is not None else default_bound
     checked, failures = runner(bound)

@@ -26,14 +26,15 @@ a diagnostic instead of cycling, which makes the routine safe to probe with
 polynomials outside the four (see the classification module).
 """
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Record, set_field
 from .monoid import Mat2, matrix_to_word
 from .pairs import (
     ENUMERABLE_POLYS,
     DivisorPair,
     EnumerablePoly,
+    _moved,
     make_pair,
     poly,
     s_bar,
@@ -118,8 +119,7 @@ def relatives(x: Mat2) -> dict[EnumerablePoly, DivisorPair]:
     return {f: f_hat(f, x) for f in ENUMERABLE_POLYS}
 
 
-@dataclass(frozen=True, slots=True)
-class InverseTrace:
+class InverseTrace(Record):
     """Full record of one inverse run.
 
     exponents are the recorded floor(n/m) steps in reduction order; pairs is
@@ -127,10 +127,15 @@ class InverseTrace:
     generator word of the preimage matrix and index its tree position.
     """
 
-    exponents: tuple[int, ...]
-    pairs: tuple[DivisorPair, ...]
-    word: str
-    index: int
+    __slots__ = ("exponents", "pairs", "word", "index")
+
+    def __init__(
+        self, exponents: tuple[int, ...], pairs: tuple[DivisorPair, ...], word: str, index: int
+    ) -> None:
+        set_field(self, "exponents", exponents)
+        set_field(self, "pairs", pairs)
+        set_field(self, "word", word)
+        set_field(self, "index", index)
 
 
 def _reduce(f: EnumerablePoly, p: DivisorPair) -> tuple[list[int], list[tuple[int, int]]]:
@@ -138,10 +143,10 @@ def _reduce(f: EnumerablePoly, p: DivisorPair) -> tuple[list[int], list[tuple[in
     if p.poly != f.poly:
         raise ValueError(f"pair {p} belongs to {p.poly}, not to {f.poly}")
     fp, m, n = f.poly, p.m, p.n
+    cof = abs(fp(n)) // m
     exponents: list[int] = []
     chain = [(m, n)]
     while (m, n) != (1, 0):
-        cof = abs(fp(n)) // m
         lo, hi = min(m, cof), max(m, cof)
         if not (lo <= n < hi):
             side = "min" if lo > n else "max"
@@ -154,7 +159,9 @@ def _reduce(f: EnumerablePoly, p: DivisorPair) -> tuple[list[int], list[tuple[in
         if q:
             n -= q * m
             chain.append((m, n))
-        m = abs(fp(n)) // m
+            m, cof = abs(fp(n)) // m, m
+        else:  # n is unchanged, so is |f(n)| = m * cof
+            m, cof = cof, m
         if (m, n) != chain[-1]:
             chain.append((m, n))
     return exponents, chain
@@ -181,9 +188,10 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
     """Invert the tree map at p (a pair of the tree of f): word, index, and
     the full reduction chain."""
     exponents, chain = _reduce(f, p)
+    # The chain pairs are p moved by s_bar_inv and c_bar: no check needed.
     return InverseTrace(
         exponents=tuple(exponents),
-        pairs=tuple(DivisorPair(m, n, f.poly) for m, n in chain),
+        pairs=tuple(_moved(m, n, f.poly) for m, n in chain),
         word=_word_from_exponents(exponents),
         index=_index_from_exponents(exponents),
     )

@@ -16,7 +16,7 @@ first step down from the root.
 All values are immutable; entries are arbitrary-precision.
 """
 
-from dataclasses import dataclass
+from ._record import Record, set_field
 
 __all__ = [
     "Mat2",
@@ -33,19 +33,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
+class Mat2(Record):
     """Row-major [[a, b], [c, d]] with a*d - b*c == 1 and entries >= 0."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d) < 0:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        if min(a, b, c, d) < 0:
             raise ValueError(f"negative entry in {self!r}")
-        if self.a * self.d - self.b * self.c != 1:
+        if a * d - b * c != 1:
             raise ValueError(f"determinant of {self!r} is not 1")
 
     def __mul__(self, other: "Mat2") -> "Mat2":
@@ -64,13 +64,19 @@ _DIGIT_LETTERS = str.maketrans("01", "ST")
 _LETTER_DIGITS = str.maketrans("ST", "01")
 
 
+# A product of elements is an element, so it is built without the checks of
+# Mat2.__init__: slots are filled directly.
+_new = object.__new__
+_set_a, _set_b, _set_c, _set_d = (Mat2.__dict__[k].__set__ for k in Mat2.__slots__)
+
+
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
-    return Mat2(
-        x.a * y.a + x.b * y.c,
-        x.a * y.b + x.b * y.d,
-        x.c * y.a + x.d * y.c,
-        x.c * y.b + x.d * y.d,
-    )
+    z = _new(Mat2)
+    _set_a(z, x.a * y.a + x.b * y.c)
+    _set_b(z, x.a * y.b + x.b * y.d)
+    _set_c(z, x.c * y.a + x.d * y.c)
+    _set_d(z, x.c * y.b + x.d * y.d)
+    return z
 
 
 def complement(x: Mat2) -> Mat2:

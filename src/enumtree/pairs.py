@@ -18,8 +18,9 @@ Divisibility is always tested against |f(n)|, so a polynomial and its
 negation define the same pair set and the same moves.
 """
 
-from dataclasses import dataclass
 from typing import Union
+
+from ._record import Record, set_field
 
 __all__ = [
     "Poly",
@@ -45,19 +46,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Poly:
+class Poly(Record):
     """Integer polynomial by coefficient tuple, constant term first.
 
     Canonical form: no trailing zero coefficients (the zero polynomial is the
     empty tuple).  Use poly(...) to build one from raw coefficients.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use poly() to normalize")
+        set_field(self, "coeffs", coeffs)
 
     def __call__(self, n: int) -> int:
         out = 0
@@ -105,17 +106,19 @@ def poly(*coeffs: int) -> Poly:
     return Poly(tuple(cs))
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerablePoly:
+class EnumerablePoly(Record):
     """One of the four quadratics whose divisor pairs the S/T tree enumerates.
 
     beta is the linear coefficient; it is also the additive constant in the
     second-component recursions of the tree.
     """
 
-    name: str
-    beta: int
-    poly: Poly
+    __slots__ = ("name", "beta", "poly")
+
+    def __init__(self, name: str, beta: int, poly: Poly) -> None:
+        set_field(self, "name", name)
+        set_field(self, "beta", beta)
+        set_field(self, "poly", poly)
 
     @property
     def monic_negative_constant(self) -> bool:
@@ -151,28 +154,27 @@ def pair_in_df(f: PolyLike, m: int, n: int) -> bool:
     return m >= 1 and n >= 0 and abs(as_poly(f)(n)) % m == 0
 
 
-@dataclass(frozen=True, slots=True)
-class DivisorPair:
+class DivisorPair(Record):
     """A pair (m, n) with m >= 1 dividing |f(n)|, bound to its polynomial f.
 
     Carrying f on the pair keeps the complement move self-contained and stops
     pairs from different trees being mixed by accident.
     """
 
-    m: int
-    n: int
-    poly: Poly
+    __slots__ = ("m", "n", "poly")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"first component must be >= 1, got {self.m}")
-        if self.n < 0:
-            raise ValueError(f"second component must be >= 0, got {self.n}")
-        if abs(self.poly(self.n)) % self.m != 0:
+    def __init__(self, m: int, n: int, poly: Poly) -> None:
+        if m < 1:
+            raise ValueError(f"first component must be >= 1, got {m}")
+        if n < 0:
+            raise ValueError(f"second component must be >= 0, got {n}")
+        if abs(poly(n)) % m != 0:
             raise ValueError(
-                f"{self.m} does not divide |f({self.n})| = {abs(self.poly(self.n))}"
-                f" for f = {self.poly}"
+                f"{m} does not divide |f({n})| = {abs(poly(n))} for f = {poly}"
             )
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "poly", poly)
 
     def components(self) -> tuple[int, int]:
         return (self.m, self.n)

@@ -31,9 +31,9 @@ boundary pair {2^n, 2^(n+1) - 1}.  Fibers are computed by enumerating the
 divisors of |f(n)| and inverting each pair, not by scanning the tree.
 """
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Record, set_field
 from .arith import divisors
 from .maps import DEFAULT_NODE_BUDGET, check_tree_size, f_hat_inverse_index
 from .pairs import DivisorPair, EnumerablePoly, make_pair
@@ -54,14 +54,20 @@ L_MATRIX: Mat3 = ((0, 1, 0), (-1, 2, 0), (0, 2, 1))
 R_MATRIX: Mat3 = ((0, 0, 1), (0, 1, 2), (-1, 0, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class SSeqKernel:
+class SSeqKernel(Record):
     """Recursion kernel of one tree's second-component sequence."""
 
-    poly: EnumerablePoly
-    const: int
-    start: int  # recursion valid for k >= start; seeds cover 1 .. 4*start - 1
-    initial: dict[int, int]
+    __slots__ = ("poly", "const", "start", "initial")
+    __eq__ = object.__eq__  # kernels compare and hash by identity
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, poly: EnumerablePoly, const: int, start: int, initial: dict[int, int]
+    ) -> None:
+        set_field(self, "poly", poly)
+        set_field(self, "const", const)
+        set_field(self, "start", start)  # recursion valid for k >= start
+        set_field(self, "initial", initial)  # seeds s(1) .. s(4*start - 1)
 
     def _triple(self, k: int) -> Vec3:
         """(s(k), s(2k), s(2k+1)) by the digit walk from k's seed node."""
@@ -109,15 +115,17 @@ class SSeqKernel:
             for m in divisors(value)
         }
 
-    def is_f_prime_via_fiber(self, n: int) -> bool:
-        """True iff the fiber of n is exactly the two boundary indices.
+    def is_f_prime_via_fiber(self, n: int, fiber: set[int] | None = None) -> bool:
+        """True iff the fiber of n (computed unless given) is the two boundary indices.
 
         Equivalent to |f(n)| being prime; n must be >= 1 (the root value 1 at
         n = 0 is a unit).
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return self.fiber(n) == {1 << n, (1 << (n + 1)) - 1}
+        if fiber is None:
+            fiber = self.fiber(n)
+        return fiber == {1 << n, (1 << (n + 1)) - 1}
 
 
 _BASE_SEEDS = {1: 0, 2: 1, 3: 1}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import enumtree
-from enumtree import arith
+from enumtree import arith, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import main
 
@@ -85,6 +85,14 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 2**13 - 1
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("argv", [["tree", "phi0", "--depth", "2"], ["stats", "phi0", "--kmax", "5"]])
+def test_nonpositive_max_nodes_is_usage_error(capsys, argv, value):
+    code, out, err = run(capsys, *argv, "--max-nodes", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-nodes must be a positive integer, got {value}\n"
+
+
 def test_unknown_polynomial_is_usage_error(capsys):
     code, _, _ = run(capsys, "tree", "phi9", "--depth", "2")
     assert code == 2
@@ -130,6 +138,18 @@ def test_fiber_reports(capsys):
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert lines["indices"] == "1" and lines["tau"] == "1"
     assert "verdict" not in lines
+
+
+def test_fiber_inverts_each_divisor_once(capsys, monkeypatch):
+    calls = []
+    inverse_index = sseq.f_hat_inverse_index
+    monkeypatch.setattr(
+        sseq, "f_hat_inverse_index", lambda f, p: calls.append(p.m) or inverse_index(f, p)
+    )
+    code, out, _ = run(capsys, "fiber", "phi0", "97")  # 97^2 + 1 = 2 * 5 * 941
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert code == 0 and lines["tau"] == "8" and lines["verdict"] == "composite"
+    assert sorted(calls) == [1, 2, 5, 10, 941, 1882, 4705, 9410]
 
 
 def test_scan_flags_after_guard(capsys):

@@ -33,6 +33,7 @@ from enumtree.pairs import (
     PHI1,
     PHI3,
     PSI2,
+    Poly,
     c_bar,
     make_pair,
     s_bar,
@@ -121,6 +122,15 @@ def test_inverse_worked_example():
     assert trace.exponents == (2, 1, 2, 1)
 
 
+def test_inverse_evaluates_f_once_per_second_component(monkeypatch):
+    p = make_pair(37, 100, PHI1)
+    seen = []
+    evaluate = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda f, n: seen.append(n) or evaluate(f, n))
+    f_hat_inverse(PHI1, p)
+    assert seen == [100, 26, 7, 1, 0]
+
+
 def test_inverse_of_root_is_trivial():
     for f in ENUMERABLE_POLYS:
         trace = f_hat_inverse(f, make_pair(1, 0, f))
@@ -159,6 +169,7 @@ def test_trace_replays_to_input(w, f):
     p = f_hat(f, word_to_matrix(w))
     trace = f_hat_inverse(f, p)
     assert trace.pairs[0] == p and trace.pairs[-1].components() == (1, 0)
+    assert all(q == make_pair(q.m, q.n, f) for q in trace.pairs)  # checked construction
     replay = make_pair(1, 0, f)
     for letter in reversed(trace.word):
         replay = s_bar(replay) if letter == "S" else t_bar(replay)

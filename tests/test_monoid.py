@@ -138,6 +138,7 @@ def test_index_validation():
 def test_determinant_preserved(w):
     x = word_to_matrix(w)
     assert x.a * x.d - x.b * x.c == 1
+    assert Mat2(x.a, x.b, x.c, x.d) == x  # the checked constructor accepts the product
 
 
 @given(words)

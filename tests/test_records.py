@@ -1,0 +1,139 @@
+"""The frozen value records behave as the frozen dataclasses they replace."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import enumtree
+from enumtree.analytics import PrimeRepresentation, RowStats
+from enumtree.classify import ViolationCertificate
+from enumtree.maps import InverseTrace
+from enumtree.monoid import IDENTITY, Mat2
+from enumtree.pairs import PHI0, DivisorPair, EnumerablePoly, Poly
+from enumtree.sseq import SSeqKernel
+
+X2_1 = Poly(coeffs=(1, 0, 1))
+
+
+def _pair(m, n):
+    return DivisorPair(m=m, n=n, poly=X2_1)
+
+
+# Each record built by keyword, twice, and a record of the same class that
+# differs in one field; then the repr a frozen dataclass gave it.
+VALUE_RECORDS = [
+    (lambda: Poly(coeffs=(1, 0, 1)), Poly(coeffs=(1, 1, 1)), "Poly(coeffs=(1, 0, 1))"),
+    (
+        lambda: EnumerablePoly(name="phi0", beta=0, poly=X2_1),
+        EnumerablePoly(name="phi0", beta=1, poly=X2_1),
+        "EnumerablePoly(name='phi0', beta=0, poly=Poly(coeffs=(1, 0, 1)))",
+    ),
+    (
+        lambda: DivisorPair(m=5, n=3, poly=X2_1),
+        DivisorPair(m=2, n=3, poly=X2_1),
+        "DivisorPair(m=5, n=3, poly=Poly(coeffs=(1, 0, 1)))",
+    ),
+    (lambda: Mat2(a=3, b=4, c=8, d=11), Mat2(a=3, b=1, c=2, d=1), "Mat2(a=3, b=4, c=8, d=11)"),
+    (
+        lambda: InverseTrace(
+            exponents=(0, 1), pairs=(_pair(2, 1), _pair(1, 1), _pair(1, 0)), word="T", index=3
+        ),
+        InverseTrace(exponents=(1,), pairs=(_pair(1, 1), _pair(1, 0)), word="S", index=2),
+        "InverseTrace(exponents=(0, 1), pairs=(DivisorPair(m=2, n=1, poly=Poly(coeffs=(1, 0, 1))),"
+        " DivisorPair(m=1, n=1, poly=Poly(coeffs=(1, 0, 1))),"
+        " DivisorPair(m=1, n=0, poly=Poly(coeffs=(1, 0, 1)))), word='T', index=3)",
+    ),
+    (
+        lambda: RowStats(k=2, m_sum=13, n_sum=10, ratio_sum=Fraction(9, 2)),
+        RowStats(k=2, m_sum=13, n_sum=10, ratio_sum=Fraction(9, 4)),
+        "RowStats(k=2, m_sum=13, n_sum=10, ratio_sum=Fraction(9, 2))",
+    ),
+    (
+        lambda: PrimeRepresentation(p=13, f=PHI0, n_values=(1, 5), exponents=(-1, 1)),
+        PrimeRepresentation(p=5, f=PHI0, n_values=(2,), exponents=(1,)),
+        "PrimeRepresentation(p=13, f=EnumerablePoly(name='phi0', beta=0,"
+        " poly=Poly(coeffs=(1, 0, 1))), n_values=(1, 5), exponents=(-1, 1))",
+    ),
+    (
+        lambda: ViolationCertificate(
+            f=Poly((1, 5, 1)), m=5, n=3, side="LEFT", detail="min(5, 5) = 5 > n = 3"
+        ),
+        ViolationCertificate(f=Poly((1, 5, 1)), m=5, n=3, side="RIGHT", detail="?"),
+        "ViolationCertificate(f=Poly(coeffs=(1, 5, 1)), m=5, n=3, side='LEFT',"
+        " detail='min(5, 5) = 5 > n = 3')",
+    ),
+]
+
+
+def _kernel():
+    return SSeqKernel(poly=PHI0, const=0, start=1, initial={1: 0, 2: 1, 3: 1})
+
+
+ALL_RECORDS = [make for make, _, _ in VALUE_RECORDS] + [_kernel]
+
+
+@pytest.mark.parametrize("make, other, text", VALUE_RECORDS)
+def test_records_compare_and_hash_by_value(make, other, text):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert repr(a) == text
+    stranger = X2_1 if isinstance(a, Mat2) else IDENTITY
+    assert a.__eq__(stranger) is NotImplemented and a != stranger
+
+
+def test_kernels_compare_and_hash_by_identity():
+    a, b = _kernel(), _kernel()
+    assert a == a and a != b and hash(a) == object.__hash__(a)
+    assert repr(a) == (
+        "SSeqKernel(poly=EnumerablePoly(name='phi0', beta=0, poly=Poly(coeffs=(1, 0, 1))),"
+        " const=0, start=1, initial={1: 0, 2: 1, 3: 1})"
+    )
+
+
+@pytest.mark.parametrize("make", ALL_RECORDS)
+def test_records_are_frozen_and_slotted(make):
+    a = make()
+    field = a.__slots__[0]
+    value = getattr(a, field)
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+        setattr(a, field, value)
+    with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
+        delattr(a, field)
+    with pytest.raises(FrozenInstanceError):
+        a.extra = 1
+    assert getattr(a, field) is value
+    assert not hasattr(a, "__dict__")
+
+
+@pytest.mark.parametrize("make", ALL_RECORDS)
+def test_records_survive_pickle_and_copy(make):
+    a = make()
+    fields = [getattr(a, k) for k in a.__slots__]
+    for b in (
+        pickle.loads(pickle.dumps(a)),
+        pickle.loads(pickle.dumps(a, protocol=0)),
+        copy.copy(a),
+        copy.deepcopy(a),
+    ):
+        assert type(b) is type(a) and [getattr(b, k) for k in b.__slots__] == fields
+        assert b == a or isinstance(a, SSeqKernel)
+
+
+def test_cli_import_skips_unused_standard_modules():
+    # -S: no site hooks, so whatever is loaded was loaded by enumtree.
+    unused = ("dataclasses", "inspect", "fractions", "decimal", "json")
+    code = f"import sys, enumtree.cli; print([m for m in {unused!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(enumtree.__file__).parents[1])),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
