@@ -150,32 +150,19 @@ class PrimeRepresentation(Record):
 def prime_representation(f: EnumerablePoly, p: int, n: int) -> PrimeRepresentation:
     """The alternating-product form of p attached to the pair (p, n).
 
-    Requires p prime, 0 <= n < p and p | |f(n)|.  Replays the inverse
-    reduction of (p, n) forward from the root; the pair after each complement
-    contributes one n value, and n < p forces the final step to be a
-    complement, so the product telescopes to p exactly.
+    Requires p prime, 0 <= n < p and p | |f(n)|.  The n values are the
+    distinct nonzero second components of the reduction chain of (p, n); the
+    product is checked to telescope to p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 0 <= n < p:
         raise ValueError(f"need 0 <= n < p, got n = {n}, p = {p}")
-    if abs(f.poly(n)) % p != 0:
-        raise ValueError(f"{p} does not divide |f({n})| = {abs(f.poly(n))}")
-    exponents = f_hat_inverse(f, make_pair(p, n, f)).exponents
-    if not exponents or exponents[0] != 0:  # impossible for n < p
-        raise ArithmeticError(f"reduction of ({p}, {n}) does not start with a complement")
-    m, cur = 1, 0
-    ns: list[int] = []
-    for alpha in exponents[:0:-1]:
-        cur += alpha * m
-        m, rest = divmod(abs(f.poly(cur)), m)
-        if rest:
-            raise ArithmeticError(f"replay of ({p}, {n}) left the pair set at n = {cur}")
-        ns.append(cur)
+    ns = sorted({q.n for q in f_hat_inverse(f, make_pair(p, n, f)).pairs} - {0})
     signs = tuple((-1) ** (len(ns) - 1 - i) for i in range(len(ns)))
     rep = PrimeRepresentation(p=p, f=f, n_values=tuple(ns), exponents=signs)
-    if (m, cur) != (p, n) or rep.product() != p:
-        raise ArithmeticError(f"replay of ({p}, {n}) does not telescope to {p}")
+    if rep.product() != p:
+        raise ArithmeticError(f"the chain of ({p}, {n}) does not telescope to {p}")
     return rep
 
 

@@ -1,11 +1,12 @@
 """Integer arithmetic support: primality, factorization, divisors, modular square roots.
 
 Everything here is exact and works on arbitrary-precision integers.  Primality
-is a deterministic Miller-Rabin for inputs below ~3.3e24 (which covers 2**64
-with a wide margin); above that the same fixed bases act as a very strong
-probable-prime test.  Factorization is trial division by small primes followed
-by Brent's variant of Pollard's rho with a fixed, deterministic parameter
-schedule, so repeated runs give identical results.
+is Miller-Rabin to the prime bases 2..41, a proof below psi_13 =
+3,317,044,064,679,887,385,961,981; above it a True means a strong probable
+prime, which factorize keeps as a prime factor.  Factorization is trial
+division by small primes followed by Brent's variant of Pollard's rho with a
+fixed, deterministic parameter schedule, so repeated runs give identical
+results.
 """
 
 from math import gcd, isqrt
@@ -20,8 +21,8 @@ __all__ = [
     "FactorLimitExceeded",
 ]
 
-# Witness set is exact for n < 3_317_044_064_679_887_385_961_981.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Exact below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class FactorLimitExceeded(RuntimeError):

@@ -150,11 +150,14 @@ def _cmd_inverse(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PAIR
     trace = f_hat_inverse(f, pair)
-    print(f"pair: {pair}")
+    # Adjacent chain pairs share m or n: convert each distinct integer once.
+    text = {v: str(v) for v in {v for p in trace.pairs for v in (p.m, p.n)}}
+    chain = [f"({text[p.m]}, {text[p.n]})" for p in trace.pairs]
+    print(f"pair: {chain[0]}")
     print(f"word: {trace.word or '(empty)'}")
     print(f"matrix: {word_to_matrix(trace.word)}")
     print(f"index: {trace.index}")
-    print("chain: " + " ".join(str(p) for p in trace.pairs))
+    print("chain: " + " ".join(chain))
     return EXIT_OK
 
 

@@ -22,8 +22,7 @@ The loop additionally checks, at every visited pair, the inequality
     min(m, |f(n)|/m)  <=  n  <  max(m, |f(n)|/m)
 
 which characterizes reachability from the root; on a violation it aborts with
-a diagnostic instead of cycling, which makes the routine safe to probe with
-polynomials outside the four (see the classification module).
+a diagnostic instead of cycling.
 """
 
 from typing import Iterator
@@ -35,11 +34,11 @@ from .pairs import (
     DivisorPair,
     EnumerablePoly,
     _moved,
+    _shifted_cofactor,
     make_pair,
     poly,
     s_bar,
     t_bar,
-    t_step,
 )
 
 __all__ = [
@@ -142,26 +141,26 @@ def _reduce(f: EnumerablePoly, p: DivisorPair) -> tuple[list[int], list[tuple[in
     """Peel p, a pair of the tree of f, down to (1, 0): exponents, visited pairs."""
     if p.poly != f.poly:
         raise ValueError(f"pair {p} belongs to {p.poly}, not to {f.poly}")
-    fp, m, n = f.poly, p.m, p.n
-    cof = abs(fp(n)) // m
+    b, m, n = f.poly.coeffs[1], p.m, p.n
+    q = f.poly(n) // m  # the signed cofactor f(n) / m, carried from here on
     exponents: list[int] = []
     chain = [(m, n)]
     while (m, n) != (1, 0):
+        cof = abs(q)
         lo, hi = min(m, cof), max(m, cof)
         if not (lo <= n < hi):
             side = "min" if lo > n else "max"
             raise ArithmeticError(
-                f"pair ({m}, {n}) of f = {fp} violates the reachability bound"
+                f"pair ({m}, {n}) of f = {f.poly} violates the reachability bound"
                 f" ({side} side); it cannot be reduced to the root"
             )
-        q = n // m
-        exponents.append(q)
-        if q:
-            n -= q * m
+        a = n // m
+        exponents.append(a)
+        if a:
+            q = _shifted_cofactor(q, n, b, -a, m)
+            n -= a * m
             chain.append((m, n))
-            m, cof = abs(fp(n)) // m, m
-        else:  # n is unchanged, so is |f(n)| = m * cof
-            m, cof = cof, m
+        m, q = abs(q), (m if q > 0 else -m)  # c_bar: f(n) = m * q
         if (m, n) != chain[-1]:
             chain.append((m, n))
     return exponents, chain
@@ -202,27 +201,33 @@ def f_hat_inverse_index(f: EnumerablePoly, p: DivisorPair) -> int:
     return _index_from_exponents(_reduce(f, p)[0])
 
 
+def _int_rows(b: int, row: list[tuple[int, int]], cofs: list[int], depth: int):
+    """row, then depth rows below it (s_bar then t_bar by the cofactor shift), each
+    with the cofactors f(n) / m of its pairs; f > 0 at n >= 1, as on the four trees."""
+    yield row, cofs
+    for _ in range(depth):
+        children, child_cofs = [], []
+        for (m, n), q in zip(row, cofs):
+            # t_bar = c_bar . s_bar . c_bar: c_bar(m, n) = (c, n) has cofactor +-m
+            c = abs(q)
+            children += ((m, n + m), (_shifted_cofactor(m if q > 0 else -m, n, b, 1, c), n + c))
+            child_cofs += (_shifted_cofactor(q, n, b, 1, m), c)
+        row, cofs = children, child_cofs
+        yield row, cofs
+
+
 def int_tree_rows(
     f: EnumerablePoly, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> Iterator[list[tuple[int, int]]]:
     """Rows 0..depth of the divisor-pair tree of f as plain (m, n) tuples.
 
     Row k holds 2**k pairs, breadth first; children of each node are s_bar
-    (left) then t_bar (right), by integer arithmetic only: the moves keep
-    pairs in the pair set, so nodes are not revalidated.  Rows are produced
-    lazily but depth and the total node count are checked up front.
+    (left) then t_bar (right), by the cofactor shift: f is evaluated once, at
+    the root, and nodes are not revalidated.  Rows are produced lazily but
+    depth and the total node count are checked up front.
     """
     check_tree_size(depth, max_nodes)
-
-    def rows() -> Iterator[list[tuple[int, int]]]:
-        fp = f.poly
-        row = [(1, 0)]
-        yield row
-        for _ in range(depth):
-            row = [child for m, n in row for child in ((m, n + m), t_step(fp, m, n))]
-            yield row
-
-    return rows()
+    return (row for row, _ in _int_rows(f.poly.coeffs[1], [(1, 0)], [f.poly(0)], depth))
 
 
 def tree_rows(

@@ -16,6 +16,10 @@ exposed below as PHI0, PHI1, PSI2 and PHI3.
 
 Divisibility is always tested against |f(n)|, so a polynomial and its
 negation define the same pair set and the same moves.
+
+For a monic quadratic f = x^2 + b*x + c, f(n + h) = f(n) + h*(2n + b + h): the
+signed cofactor q = f(n) / m of a pair (m, n) becomes f(n + k*m) / m =
+q + k*(2n + b + k*m), which integer moves use in place of evaluating f.
 """
 
 from typing import Union
@@ -41,7 +45,6 @@ __all__ = [
     "s_bar",
     "c_bar",
     "t_bar",
-    "t_step",
     "s_bar_inv",
 ]
 
@@ -107,7 +110,7 @@ def poly(*coeffs: int) -> Poly:
 
 
 class EnumerablePoly(Record):
-    """One of the four quadratics whose divisor pairs the S/T tree enumerates.
+    """A named monic quadratic, such as the four tree-enumerable ones below.
 
     beta is the linear coefficient; it is also the additive constant in the
     second-component recursions of the tree.
@@ -116,6 +119,8 @@ class EnumerablePoly(Record):
     __slots__ = ("name", "beta", "poly")
 
     def __init__(self, name: str, beta: int, poly: Poly) -> None:
+        if poly.degree != 2 or poly.leading != 1:
+            raise ValueError(f"{poly} is not a monic quadratic")
         set_field(self, "name", name)
         set_field(self, "beta", beta)
         set_field(self, "poly", poly)
@@ -214,12 +219,10 @@ def c_bar(p: DivisorPair) -> DivisorPair:
     return _moved(value // p.m, p.n, p.poly)
 
 
-def t_step(f: Poly, m: int, n: int) -> tuple[int, int]:
-    """t_bar on integers: (m, n) -> (|f(n + c)| / c, n + c) with c = |f(n)| / m.
-    Nothing is rechecked; (m, n) must be a pair of f with f(n) != 0."""
-    c = abs(f(n)) // m
-    n += c
-    return abs(f(n)) // c, n
+def _shifted_cofactor(q: int, n: int, b: int, k: int, m: int) -> int:
+    """f(n + k*m) / m from the signed cofactor q = f(n) / m, for the monic
+    quadratic f with linear coefficient b (the shift in the module docstring)."""
+    return q + k * (2 * n + b + k * m)
 
 
 def t_bar(p: DivisorPair) -> DivisorPair:

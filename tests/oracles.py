@@ -71,6 +71,30 @@ def bfs_words(depth: int) -> list[str]:
     return words
 
 
+def replay_n_values(c0: int, c1: int, p: int, n: int) -> list[int]:
+    """n-values of the alternating prime product of the pair (p, n) of
+    f = x^2 + c1*x + c0: reduce (p, n) to (1, 0) by division, recording each
+    floor(n/m), then replay those steps forward from the root and record n
+    after each one."""
+    def f(x):
+        return abs(x * x + c1 * x + c0)
+
+    m, cur, steps = p, n, []
+    while (m, cur) != (1, 0):
+        a = cur // m
+        steps.append(a)
+        cur -= a * m
+        m = f(cur) // m
+    m, ns = 1, []
+    for a in reversed(steps[1:]):
+        cur += a * m
+        m, rest = divmod(f(cur), m)
+        assert rest == 0
+        ns.append(cur)
+    assert (m, cur) == (p, n)
+    return ns
+
+
 def quadratic_roots_scan(c0: int, c1: int, p: int) -> list[int]:
     """All n in [0, p) with n^2 + c1*n + c0 == 0 mod p, by direct scan."""
     return [n for n in range(p) if (n * n + c1 * n + c0) % p == 0]

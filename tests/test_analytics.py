@@ -13,7 +13,7 @@ from enumtree.analytics import (
 )
 from enumtree.maps import int_tree_rows, tree_rows
 from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1
-from oracles import quadratic_roots_scan, trial_is_prime
+from oracles import quadratic_roots_scan, replay_n_values, trial_is_prime
 
 
 def test_row_stats_direct_examples():
@@ -123,6 +123,15 @@ def test_prime_representations_exact_up_to_500():
             assert list(rep.n_values) == sorted(set(rep.n_values))
             assert rep.n_values[-1] < p
             assert rep.exponents[-1] == 1
+
+
+def test_prime_representations_match_the_replay_up_to_3000():
+    for f in ENUMERABLE_POLYS:
+        c0, c1, _ = f.poly.coeffs
+        for p in primes_with_divisor(f, 3000):
+            for n in roots_mod_p(f, p):
+                rep = prime_representation(f, p, n)
+                assert list(rep.n_values) == replay_n_values(c0, c1, p, n), (f, p, n)
 
 
 def test_roots_mod_p_examples():

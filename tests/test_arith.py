@@ -18,6 +18,16 @@ def test_is_prime_known_hard_cases():
     assert not is_prime((2**31 - 1) * (2**61 - 1))
 
 
+# psi_12: the least strong pseudoprime to the twelve prime bases 2..37.
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_bases_up_to_37():
+    assert not is_prime(PSI_12)
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert tau(PSI_12) == 4
+
+
 def test_factorize_small_range():
     for n in range(1, 2000):
         assert factorize(n) == trial_factorize(n), n

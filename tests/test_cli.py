@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,9 @@ import enumtree
 from enumtree import arith, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import main
+from enumtree.maps import f_hat
+from enumtree.monoid import index_to_word, word_to_matrix
+from enumtree.pairs import POLY_BY_NAME
 
 
 def run(capsys, *argv):
@@ -213,6 +217,15 @@ def test_primerep(capsys):
     assert code == 3
 
 
+def test_primerep_refuses_a_strong_pseudoprime_to_bases_up_to_37(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 divides f(n)
+    code, out, err = run(
+        capsys, "primerep", "phi0", "318665857834031151167461", "210775917077050784440256"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: 318665857834031151167461 is not prime\n"
+
+
 def test_verify_suites_pass(capsys):
     for suite, bound in [
         ("tau", "60"),
@@ -264,7 +277,12 @@ def test_results_unchanged_under_python_O():
         )
         return proc.returncode, proc.stdout
 
-    for argv in (["verify", "recursions"], ["seq", "psi2", "--count", "64", "--format", "json"]):
+    for argv in (
+        ["verify", "recursions"],
+        ["seq", "psi2", "--count", "64", "--format", "json"],
+        ["inverse", "phi1", "37", "100"],
+        ["stats", "psi2", "--kmax", "8"],
+    ):
         plain = cli("-m", "enumtree.cli", *argv)
         optimized = cli("-O", "-m", "enumtree.cli", *argv)
         assert plain[0] == 0 and optimized == plain, argv
@@ -340,6 +358,27 @@ GOLDEN_FIBER_SHA256 = [
     ("phi3", "1000", "1c5db8a8192f874040b3b15a53e35dc6741ec69c759cf8bad439a74042758824"),
     ("phi3", "3000", "6c83c7aea450eae0396b8d67f40cff1334cacff7394ab334f1425bf14c32aea2"),
 ]
+
+
+# stdout SHA-256 of `inverse <poly> m n` for the pair of one 2,000-letter word
+# per tree, drawn from random.Random(seed), recorded from the CLI that formatted
+# every chain pair with str() and reduced by evaluating f at each step.
+GOLDEN_INVERSE_SHA256 = [
+    ("phi0", 2000, "6655fb634076477bf951ef9a7f3ec9e46ea011c10e55878355584e9840fcb297"),
+    ("phi1", 2001, "36ff7d4bba3fe9fa3c7d1cee620ea1e48aff35890f7eff6f6bc01c145c8459b9"),
+    ("psi2", 2002, "17277e04ffa717290463578e1f896cf057d4af2b159614ffd3de4829a43f6398"),
+    ("phi3", 2003, "caa5154245c1e9aee25cd6db13ae2cd8c5d549dc876b51188dbd419cae50a7a4"),
+]
+
+
+@pytest.mark.parametrize("name, seed, digest", GOLDEN_INVERSE_SHA256)
+def test_inverse_matches_golden_hash(capsys, name, seed, digest):
+    f = POLY_BY_NAME[name]
+    word = index_to_word((1 << 2000) | random.Random(seed).getrandbits(2000))
+    pair = f_hat(f, word_to_matrix(word))
+    code, out, _ = run(capsys, "inverse", name, str(pair.m), str(pair.n))
+    assert code == 0 and f"word: {word}\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, kmax, fmt, digest", GOLDEN_STATS_SHA256)

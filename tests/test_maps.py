@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +35,11 @@ from enumtree.pairs import (
     PHI1,
     PHI3,
     PSI2,
+    EnumerablePoly,
     Poly,
     c_bar,
     make_pair,
+    poly,
     s_bar,
     t_bar,
 )
@@ -122,13 +126,38 @@ def test_inverse_worked_example():
     assert trace.exponents == (2, 1, 2, 1)
 
 
-def test_inverse_evaluates_f_once_per_second_component(monkeypatch):
-    p = make_pair(37, 100, PHI1)
-    seen = []
+def _record_evaluations(monkeypatch) -> list[int]:
+    seen: list[int] = []
     evaluate = Poly.__call__
     monkeypatch.setattr(Poly, "__call__", lambda f, n: seen.append(n) or evaluate(f, n))
+    return seen
+
+
+def test_inverse_evaluates_f_only_at_the_input_pair(monkeypatch):
+    p = make_pair(37, 100, PHI1)
+    seen = _record_evaluations(monkeypatch)
     f_hat_inverse(PHI1, p)
-    assert seen == [100, 26, 7, 1, 0]
+    assert seen == [100]
+
+
+def test_int_tree_rows_evaluates_f_only_at_the_root(monkeypatch):
+    seen = _record_evaluations(monkeypatch)
+    rows = list(int_tree_rows(PHI1, 10))
+    assert seen == [0] and len(rows[10]) == 1 << 10
+
+
+def test_inverse_round_trip_on_20000_letter_words():
+    for i, f in enumerate(ENUMERABLE_POLYS):
+        word = index_to_word((1 << 20000) | random.Random(20000 + i).getrandbits(20000))
+        trace = f_hat_inverse(f, f_hat(f, word_to_matrix(word)))
+        assert trace.word == word and trace.index == word_to_index(word)
+
+
+def test_inverse_refuses_an_unreachable_pair():
+    # (5, 3) is a pair of x^2 + 5x + 1 (f(3) = 25) below the min side of the bound
+    f = EnumerablePoly("x^2+5x+1", 5, poly(1, 5, 1))
+    with pytest.raises(ArithmeticError, match=r"\(min side\)"):
+        f_hat_inverse(f, make_pair(5, 3, f))
 
 
 def test_inverse_of_root_is_trivial():

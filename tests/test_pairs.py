@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enumtree.maps import _int_rows
 from enumtree.pairs import (
     ENUMERABLE_POLYS,
     PHI0,
@@ -11,6 +12,7 @@ from enumtree.pairs import (
     PHI3,
     PSI2,
     DivisorPair,
+    EnumerablePoly,
     c_bar,
     make_pair,
     pair_in_df,
@@ -19,7 +21,6 @@ from enumtree.pairs import (
     s_bar,
     s_bar_inv,
     t_bar,
-    t_step,
 )
 from oracles import trial_divisors
 
@@ -38,6 +39,14 @@ def test_poly_normalization_and_str():
     assert str(poly(1, 3)) == "3x+1"
     assert str(poly()) == "0"
     assert str(-poly(1, 5, 1)) == "-x^2-5x-1"
+
+
+def test_enumerable_poly_must_be_monic_quadratic():
+    for f in (poly(1, 0, 2), poly(1, 1), poly(1, 0, 0, 1), poly(5), poly()):
+        with pytest.raises(ValueError, match="not a monic quadratic"):
+            EnumerablePoly("f", 0, f)
+    # the linear coefficient beta is not checked against the polynomial
+    assert EnumerablePoly("phi0", 1, poly(1, 0, 1)).beta == 1
 
 
 def test_enumerable_constants():
@@ -122,8 +131,11 @@ def test_t_bar_is_conjugated_s_bar(p):
 
 
 @given(divisor_pairs())
-def test_t_step_is_t_bar_on_integers(p):
-    assert t_step(p.poly, p.m, p.n) == c_bar(s_bar(c_bar(p))).components()
+def test_cofactor_shift_children_are_s_bar_and_t_bar(p):
+    f = p.poly
+    _, (children, cofs) = _int_rows(f.coeffs[1], [(p.m, p.n)], [f(p.n) // p.m], 1)
+    assert children == [s_bar(p).components(), c_bar(s_bar(c_bar(p))).components()]
+    assert cofs == [f(n) // m for m, n in children]
 
 
 def test_moves_where_f_vanishes_are_value_errors():
