@@ -4,9 +4,10 @@ Everything here is exact and works on arbitrary-precision integers.  Primality
 is Miller-Rabin to the prime bases 2..41, a proof below psi_13 =
 3,317,044,064,679,887,385,961,981; above it a True means a strong probable
 prime, which factorize keeps as a prime factor.  Factorization is trial
-division by small primes followed by Brent's variant of Pollard's rho with a
-fixed, deterministic parameter schedule, so repeated runs give identical
-results.
+division by the primes below 1000, which proves a cofactor below p * p, for
+the next trial prime p, to be 1 or prime; larger ones go through Miller-Rabin
+and Brent's variant of Pollard's rho with a fixed, deterministic parameter
+schedule, so repeated runs give identical results.
 """
 
 from math import gcd, isqrt
@@ -102,8 +103,8 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
+        if p * p > n:  # no prime factor below p is left, so n is 1 or prime
+            return {**out, n: 1} if n > 1 else out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 from itertools import islice
+from math import isqrt
 
 from . import analytics, classify
 from .arith import FactorLimitExceeded, divisors, is_prime
@@ -265,14 +266,10 @@ def _cmd_primerep(args) -> int:
 
 
 def _tau_trial(v: int) -> int:
-    # Independent of the factorization-based divisor count on purpose.
-    count = 0
-    i = 1
-    while i * i <= v:
-        if v % i == 0:
-            count += 1 if i * i == v else 2
-        i += 1
-    return count
+    # Independent of the factorization-based divisor count on purpose:
+    # each divisor i <= sqrt(v) stands for the couple (i, v / i).
+    r = isqrt(v)
+    return sum(2 for i in range(1, r + 1) if v % i == 0) - (r * r == v)
 
 
 def _suite_bijectivity(bound: int):

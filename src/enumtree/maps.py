@@ -141,8 +141,12 @@ def _reduce(f: EnumerablePoly, p: DivisorPair) -> tuple[list[int], list[tuple[in
     """Peel p, a pair of the tree of f, down to (1, 0): exponents, visited pairs."""
     if p.poly != f.poly:
         raise ValueError(f"pair {p} belongs to {p.poly}, not to {f.poly}")
-    b, m, n = f.poly.coeffs[1], p.m, p.n
-    q = f.poly(n) // m  # the signed cofactor f(n) / m, carried from here on
+    return _peel(f, p.m, p.n, f.poly(p.n) // p.m)
+
+
+def _peel(f: EnumerablePoly, m: int, n: int, q: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """_reduce from (m, n) given its signed cofactor q = f(n) / m, carried from here on."""
+    b = f.poly.coeffs[1]
     exponents: list[int] = []
     chain = [(m, n)]
     while (m, n) != (1, 0):

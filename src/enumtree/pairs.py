@@ -22,6 +22,7 @@ signed cofactor q = f(n) / m of a pair (m, n) becomes f(n + k*m) / m =
 q + k*(2n + b + k*m), which integer moves use in place of evaluating f.
 """
 
+from math import isqrt
 from typing import Union
 
 from ._record import Record, set_field
@@ -110,7 +111,7 @@ def poly(*coeffs: int) -> Poly:
 
 
 class EnumerablePoly(Record):
-    """A named monic quadratic, such as the four tree-enumerable ones below.
+    """A named monic quadratic without a root n >= 0, such as the four trees below.
 
     beta is the linear coefficient; it is also the additive constant in the
     second-component recursions of the tree.
@@ -121,6 +122,10 @@ class EnumerablePoly(Record):
     def __init__(self, name: str, beta: int, poly: Poly) -> None:
         if poly.degree != 2 or poly.leading != 1:
             raise ValueError(f"{poly} is not a monic quadratic")
+        c, b = poly.coeffs[:2]
+        r = (isqrt(max(b * b - 4 * c, 0)) - b) // 2  # the larger root, if an integer
+        if r >= 0 and poly(r) == 0:
+            raise ValueError(f"{poly} vanishes at n = {r}, where c_bar is undefined")
         set_field(self, "name", name)
         set_field(self, "beta", beta)
         set_field(self, "poly", poly)

@@ -27,15 +27,20 @@ time and O(1) memory at any index size, with no shared mutable state.
 
 Fibers: the set of tree indices whose second component equals n has exactly
 tau(|f(n)|) elements, and |f(n)| is prime exactly when that set is the
-boundary pair {2^n, 2^(n+1) - 1}.  Fibers are computed by enumerating the
-divisors of |f(n)| and inverting each pair, not by scanning the tree.
+boundary pair {2^n, 2^(n+1) - 1}.  Fibers come from the divisors of |f(n)|,
+not a tree scan: per couple m * q = |f(n)| only the min side (m, n), m <= q,
+is reduced, to index k of L = bit_length(k) - 1 letters.  Its reduction
+checks m <= n < q, so (q, n) reduces by exponent 0, steps by c_bar to (m, n)
+and repeats the same steps: its word is k's with S and T swapped, index
+(3 << L) - 1 - k: odd, where words led by S have even indices.  At n = 0 the
+root (1, 0) is no min side, so every divisor is reduced there.
 """
 
 from typing import Iterator
 
 from ._record import Record, set_field
 from .arith import divisors
-from .maps import DEFAULT_NODE_BUDGET, check_tree_size, f_hat_inverse_index
+from .maps import DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
 from .pairs import DivisorPair, EnumerablePoly, make_pair
 
 __all__ = [
@@ -105,15 +110,18 @@ class SSeqKernel(Record):
     def fiber(self, n: int) -> set[int]:
         """Tree indices whose second component is n; size tau(|f(n)|).
 
-        One index-only inverse run per divisor of |f(n)|, not a tree scan.
+        One evaluation of f, one reduction per couple m * q = |f(n)| (module docstring).
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        value = abs(self.poly.poly(n))
-        return {
-            f_hat_inverse_index(self.poly, make_pair(m, n, self.poly))
-            for m in divisors(value)
-        }
+        f, value = self.poly, self.poly.poly(n)
+        divs = divisors(abs(value))
+        out = set()
+        # the min sides, m * m <= |f(n)|; at n = 0 all, of which only (1, 0) is reachable
+        for m in divs if n == 0 else divs[: (len(divs) + 1) // 2]:
+            k = _index_from_exponents(_peel(f, m, n, value // m)[0])
+            out |= {k, (3 << (k.bit_length() - 1)) - 1 - k}
+        return out
 
     def is_f_prime_via_fiber(self, n: int, fiber: set[int] | None = None) -> bool:
         """True iff the fiber of n (computed unless given) is the two boundary indices.

@@ -1,7 +1,11 @@
+import random
+from math import prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enumtree import arith
 from enumtree.arith import divisors, factorize, is_prime, primes_up_to, sqrt_mod, tau
 from oracles import trial_divisors, trial_factorize, trial_is_prime, trial_tau
 
@@ -41,6 +45,49 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (997**2, {997: 2}),
+        (991 * 997, {991: 1, 997: 1}),
+        (997 * 1009, {997: 1, 1009: 1}),
+        (1009 * 1013, {1009: 1, 1013: 1}),
+        (1009**2, {1009: 2}),
+        (999983, {999983: 1}),
+        (2 * 999983, {2: 1, 999983: 1}),
+    ],
+)
+def test_factorize_around_the_end_of_trial_division(n, expected):
+    # 997 is the last trial prime: cofactors from 997^2 on are left to is_prime
+    assert factorize(n) == expected
+
+
+def test_factorize_below_997_squared_never_tests_primality(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    rng = random.Random(997)
+    for n in [*range(1, 5000), *(rng.randrange(5000, 997**2) for _ in range(3000)), 997**2 - 1]:
+        fac = factorize(n)
+        assert all(trial_is_prime(p) for p in fac), n
+        assert prod(p**e for p, e in fac.items()) == n
+    assert calls == []
+    factorize(1009 * 1013)  # a cofactor trial division leaves open
+    assert sorted(calls) == [1009, 1013, 1009 * 1013]
+
+
+def test_is_prime_and_factorize_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(60120)
+    for _ in range(16):
+        p = sympy.nextprime(rng.getrandbits(rng.randint(60, 120)))
+        assert is_prime(p) and factorize(p) == {p: 1}
+        small = sympy.nextprime(rng.getrandbits(rng.randint(20, 26)))
+        n = small * sympy.nextprime(rng.getrandbits(rng.randint(40, 94)))
+        assert not is_prime(n) and factorize(n) == sympy.factorint(n), n
+        odd = rng.getrandbits(rng.randint(60, 120)) | 1
+        assert is_prime(odd) == sympy.isprime(odd), odd
 
 
 def test_factorize_rejects_nonpositive():

@@ -15,7 +15,7 @@ from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import main
 from enumtree.maps import f_hat
 from enumtree.monoid import index_to_word, word_to_matrix
-from enumtree.pairs import POLY_BY_NAME
+from enumtree.pairs import POLY_BY_NAME, Poly
 
 
 def run(capsys, *argv):
@@ -144,16 +144,24 @@ def test_fiber_reports(capsys):
     assert "verdict" not in lines
 
 
-def test_fiber_inverts_each_divisor_once(capsys, monkeypatch):
-    calls = []
-    inverse_index = sseq.f_hat_inverse_index
-    monkeypatch.setattr(
-        sseq, "f_hat_inverse_index", lambda f, p: calls.append(p.m) or inverse_index(f, p)
-    )
+def test_fiber_reduces_each_complementary_couple_once(capsys, monkeypatch):
+    peeled, evaluated, inside_fiber = [], [], []
+    peel, evaluate, fiber = sseq._peel, Poly.__call__, sseq.SSeqKernel.fiber
+
+    def counted_fiber(kernel, n):
+        before = len(evaluated)
+        out = fiber(kernel, n)
+        inside_fiber.append(len(evaluated) - before)
+        return out
+
+    monkeypatch.setattr(sseq, "_peel", lambda f, m, n, q: peeled.append(m) or peel(f, m, n, q))
+    monkeypatch.setattr(Poly, "__call__", lambda f, n: evaluated.append(n) or evaluate(f, n))
+    monkeypatch.setattr(sseq.SSeqKernel, "fiber", counted_fiber)
     code, out, _ = run(capsys, "fiber", "phi0", "97")  # 97^2 + 1 = 2 * 5 * 941
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert code == 0 and lines["tau"] == "8" and lines["verdict"] == "composite"
-    assert sorted(calls) == [1, 2, 5, 10, 941, 1882, 4705, 9410]
+    assert sorted(peeled) == [1, 2, 5, 10]  # the min side of each couple m * q = 9410
+    assert inside_fiber == [1]
 
 
 def test_scan_flags_after_guard(capsys):
@@ -378,6 +386,24 @@ def test_inverse_matches_golden_hash(capsys, name, seed, digest):
     pair = f_hat(f, word_to_matrix(word))
     code, out, _ = run(capsys, "inverse", name, str(pair.m), str(pair.n))
     assert code == 0 and f"word: {word}\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout SHA-256 of `verify <suite>` at its default bound, recorded from the CLI
+# that reduced every divisor of |f(n)| in full and ran Miller-Rabin on every
+# cofactor left by trial division; pins the `checked` counts and no failures.
+GOLDEN_VERIFY_SHA256 = [
+    ("tau", "93a7e8149624d3da293b083b248c501eced7ff0cf2c71ae1827cb8da881c0659"),
+    ("primality", "800e984b1025363b1a2b235e7526869bdcd1a98709958cb6a0fa4f00b173c892"),
+    ("bijectivity", "f6abfd23cb233ce82107fcc79c77297c964c734669abdf46e647abaace4209ab"),
+    ("classification", "533e6158c42ffe34914aac357b55b46d234d5569555b3a702e5b15c303e210e3"),
+]
+
+
+@pytest.mark.parametrize("suite, digest", GOLDEN_VERIFY_SHA256)
+def test_verify_matches_golden_hash(capsys, suite, digest):
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0 and json.loads(out)["failures"] == []
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -49,6 +49,22 @@ def test_enumerable_poly_must_be_monic_quadratic():
     assert EnumerablePoly("phi0", 1, poly(1, 0, 1)).beta == 1
 
 
+@pytest.mark.parametrize(
+    "f, root",
+    [(poly(-1, 0, 1), 1), (poly(0, 0, 1), 0), (poly(-2, 1, 1), 1), (poly(-4, 0, 1), 2)],
+    ids=str,
+)
+def test_enumerable_poly_must_not_vanish_on_the_tree(f, root):
+    with pytest.raises(ValueError, match=f"vanishes at n = {root}"):
+        EnumerablePoly("f", f.coeffs[1], f)
+
+
+def test_enumerable_poly_accepts_the_trees_and_roots_off_the_tree():
+    # x^2 + 5x + 1 has irrational roots; x^2 + 3x + 2 vanishes only at -1 and -2
+    for f in (*(g.poly for g in ENUMERABLE_POLYS), poly(1, 5, 1), poly(2, 3, 1)):
+        assert EnumerablePoly("f", f.coeffs[1], f).poly == f
+
+
 def test_enumerable_constants():
     assert [f.name for f in ENUMERABLE_POLYS] == ["phi0", "phi1", "psi2", "phi3"]
     assert PHI0.poly == poly(1, 0, 1)

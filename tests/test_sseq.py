@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -9,7 +10,16 @@ from hypothesis import strategies as st
 from enumtree.arith import divisors
 from enumtree.maps import NodeBudgetExceeded, f_hat, f_hat_inverse, tree_rows
 from enumtree.monoid import index_to_word, word_to_matrix
-from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1, PSI2, make_pair
+from enumtree.pairs import (
+    ENUMERABLE_POLYS,
+    PHI0,
+    PHI1,
+    PSI2,
+    EnumerablePoly,
+    c_bar,
+    make_pair,
+    poly,
+)
 from enumtree.sseq import (
     L_MATRIX,
     R_MATRIX,
@@ -18,7 +28,7 @@ from enumtree.sseq import (
     net_expand,
     vector_tree_rows,
 )
-from oracles import trial_is_prime, trial_tau
+from oracles import trial_divisors, trial_is_prime, trial_tau
 
 ABSTRACT_PREFIX = [0, 1, 1, 2, 3, 3, 2, 3, 7, 8, 5, 5, 8, 7, 3]
 
@@ -237,6 +247,51 @@ def test_fiber_matches_full_inverse_traces(f):
             f_hat_inverse(f, make_pair(m, n, f)).index for m in divisors(abs(f.poly(n)))
         }
         assert kern.fiber(n) == expected, (f.name, n)
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_fiber_of_zero_is_the_root(f):
+    assert kernel_for(f).fiber(0) == {1}
+
+
+@pytest.mark.parametrize("c0, c1", [(2, 0), (-2, 0), (1, 5), (3, 4), (5, 1)])
+def test_fiber_of_other_quadratics_matches_full_inverses_or_their_refusal(c0, c1):
+    # These trees miss some pairs, e.g. (2, 0) of x^2 + 2; the fiber must refuse
+    # exactly where inverting every divisor in ascending order first refuses.
+    f = EnumerablePoly("f", c1, poly(c0, c1, 1))
+    kern = SSeqKernel(f, c1, 1, {1: 0, 2: 1, 3: 1})
+    for n in range(120):
+        try:
+            expected = {
+                f_hat_inverse(f, make_pair(m, n, f)).index for m in divisors(abs(f.poly(n)))
+            }
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                kern.fiber(n)
+        else:
+            assert kern.fiber(n) == expected, n
+
+
+@st.composite
+def min_side_pairs(draw):
+    """(f, p) for a pair p = (m, n) of f with n >= 1 and m * m < |f(n)|."""
+    f = draw(st.sampled_from(ENUMERABLE_POLYS))
+    n = draw(st.integers(min_value=1, max_value=3000))
+    value = abs(f.poly(n))
+    m = draw(st.sampled_from([d for d in trial_divisors(value) if d * d < value]))
+    return f, make_pair(m, n, f)
+
+
+@given(min_side_pairs())
+def test_max_side_index_is_the_s_t_swap_of_the_min_side(fp):
+    f, p = fp
+    trace = f_hat_inverse(f, p)
+    k = trace.index
+    letters = k.bit_length() - 1
+    assert k % 2 == 0 and trace.word.startswith("S")
+    complement = f_hat_inverse(f, c_bar(p))
+    assert complement.index == (3 << letters) - 1 - k
+    assert complement.word == trace.word.translate(str.maketrans("ST", "TS"))
 
 
 def test_fiber_sizes_match_divisor_count():
