@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from ._record import Record, set_field
 from .arith import is_prime, primes_up_to, sqrt_mod
 from .maps import DEFAULT_NODE_BUDGET, f_hat_inverse, int_tree_rows
-from .pairs import EnumerablePoly, make_pair
+from .pairs import BadPair, EnumerablePoly, make_pair
 
 if TYPE_CHECKING:  # fractions is imported where a Fraction is built
     from fractions import Fraction
@@ -155,9 +155,9 @@ def prime_representation(f: EnumerablePoly, p: int, n: int) -> PrimeRepresentati
     product is checked to telescope to p.
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise BadPair(f"{p} is not prime")
     if not 0 <= n < p:
-        raise ValueError(f"need 0 <= n < p, got n = {n}, p = {p}")
+        raise BadPair(f"need 0 <= n < p, got n = {n}, p = {p}")
     ns = sorted({q.n for q in f_hat_inverse(f, make_pair(p, n, f)).pairs} - {0})
     signs = tuple((-1) ** (len(ns) - 1 - i) for i in range(len(ns)))
     rep = PrimeRepresentation(p=p, f=f, n_values=tuple(ns), exponents=signs)

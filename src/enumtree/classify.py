@@ -22,7 +22,7 @@ n0 = |f(-a)| - a gives f(n0) = (n0 + a)(n0 + b) with both factors above n0.
 
 from ._record import Record, set_field
 from .arith import divisors
-from .pairs import Poly, PolyLike, as_poly
+from .pairs import BadPair, Poly, PolyLike, as_poly, poly
 
 __all__ = [
     "LEFT",
@@ -71,7 +71,7 @@ def check_condition(f: PolyLike, m: int, n: int) -> ViolationCertificate | None:
     if value == 0:
         raise PolynomialVanishes(f, n)
     if m < 1 or n < 0 or abs(value) % m != 0:
-        raise ValueError(f"({m}, {n}) is not a divisor pair of f = {f}")
+        raise BadPair(f"({m}, {n}) is not a divisor pair of f = {f}")
     if (m, n) == (1, 0):
         raise ValueError("the root pair (1, 0) is excluded from the condition")
     cof = abs(value) // m
@@ -136,20 +136,12 @@ def _growth_certified(f: Poly, lower: int) -> bool:
     Cauchy root bound; the finitely many n in (lower, bound] are checked
     exactly.
     """
-    g = [2 * c for c in f.coeffs]
-    g[2] -= 3
-    while g and g[-1] == 0:
-        g.pop()
-    if not g or g[-1] <= 0:
+    cs = [2 * c for c in f.coeffs]
+    cs[2] -= 3
+    g = poly(*cs)
+    if not g.coeffs or g.leading <= 0:
         raise ValueError(f"2f - 3x^2 has no positive leading coefficient for f = {f}")
-    bound = _cauchy_bound(tuple(g))
-    for n in range(lower + 1, bound + 1):
-        acc = 0
-        for c in reversed(g):
-            acc = acc * n + c
-        if acc <= 0:
-            return False
-    return True
+    return all(g(n) > 0 for n in range(lower + 1, _cauchy_bound(g.coeffs) + 1))
 
 
 def composite_witness(f: PolyLike) -> tuple[int, int, int, int]:

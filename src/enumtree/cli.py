@@ -12,9 +12,11 @@ Subcommands:
     primerep  alternating prime-product representation of p at a root n
 
 Exit codes: 0 success, 1 verification failure, 2 budget exceeded or usage
-error, 3 bad pair, 4 polynomial vanishes on the scanned range, 5 arithmetic
-give-up (factorization limit, unreducible pair, number too large), 141
-(128 + SIGPIPE) stdout closed by the reader, e.g. by `| head`.
+error, 3 bad pair (BadPair), 4 polynomial vanishes on the scanned range, 5
+arithmetic give-up (factorization limit, unreducible pair, number too large,
+a result too large to allocate), 141 (128 + SIGPIPE) stdout closed by the
+reader, e.g. by `| head`.  Commands raise; main alone maps a failure to its
+code, by the table _EXIT_BY_FAILURE.
 
 All output is deterministic; integers above 2^53 - 1 are serialized as
 decimal strings in JSON so double-parsing consumers keep exact values.
@@ -39,7 +41,7 @@ from .maps import (
     tree_rows,
 )
 from .monoid import index_to_word, word_to_matrix
-from .pairs import ENUMERABLE_POLYS, PHI0, POLY_BY_NAME, make_pair, poly
+from .pairs import ENUMERABLE_POLYS, PHI0, POLY_BY_NAME, BadPair, make_pair, poly
 from .sseq import kernel_for
 
 __all__ = ["main", "console_main"]
@@ -54,6 +56,15 @@ EXIT_BAD_PAIR = 3
 EXIT_VANISHING = 4
 EXIT_ARITHMETIC = 5
 EXIT_BROKEN_PIPE = 141
+
+# The first row whose types match a failure gives its exit code, so the
+# ValueError subclasses come before ValueError.
+_EXIT_BY_FAILURE = (
+    ((classify.PolynomialVanishes,), EXIT_VANISHING),
+    ((BadPair,), EXIT_BAD_PAIR),
+    ((NodeBudgetExceeded, ValueError), EXIT_BUDGET),
+    ((FactorLimitExceeded, ArithmeticError, MemoryError), EXIT_ARITHMETIC),
+)
 
 # Lines (or text-row cells) per stdout write: bounded memory, few calls.
 _CHUNK_LINES = 4096
@@ -145,12 +156,7 @@ def _cmd_seq(args) -> int:
 
 def _cmd_inverse(args) -> int:
     f = POLY_BY_NAME[args.poly]
-    try:
-        pair = make_pair(args.m, args.n, f)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PAIR
-    trace = f_hat_inverse(f, pair)
+    trace = f_hat_inverse(f, make_pair(args.m, args.n, f))
     # Adjacent chain pairs share m or n: convert each distinct integer once.
     text = {v: str(v) for v in {v for p in trace.pairs for v in (p.m, p.n)}}
     chain = [f"({text[p.m]}, {text[p.n]})" for p in trace.pairs]
@@ -179,17 +185,9 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    try:
-        coeffs, n_max = _parse_scan_rest(args.rest)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    coeffs, n_max = _parse_scan_rest(args.rest)
     f = poly(*coeffs)
-    try:
-        certs = classify.scan_violations(f, n_max)
-    except classify.PolynomialVanishes as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VANISHING
+    certs = classify.scan_violations(f, n_max)
     if not certs:
         print(f"no violations up to n_max = {n_max} for f = {f}")
     for cert in certs:
@@ -241,12 +239,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_primerep(args) -> int:
-    f = POLY_BY_NAME[args.poly]
-    try:
-        rep = analytics.prime_representation(f, args.p, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PAIR
+    rep = analytics.prime_representation(POLY_BY_NAME[args.poly], args.p, args.n)
     num = [v for v, e in rep.factors() if e > 0]
     den = [v for v, e in rep.factors() if e < 0]
     print(f"p: {rep.p}")
@@ -329,14 +322,13 @@ def _suite_recursions(bound: int):
     for f in ENUMERABLE_POLYS:
         kernel = kernel_for(f)
         flat = [pair for row in int_tree_rows(f, depth) for pair in row]
-        prefix = kernel.s_prefix(len(flat))
+        wide = kernel.s_prefix(4 * (1 << depth) + 4)  # covers the len(flat) nodes too
         for i, (m, n) in enumerate(flat):
-            if prefix[i] != n:
-                failures.append(f"{f}: s({i + 1}) = {prefix[i]} != tree value {n}")
+            if wide[i] != n:
+                failures.append(f"{f}: s({i + 1}) = {wide[i]} != tree value {n}")
             if kernel.pair_at(i + 1).components() != (m, n):
                 failures.append(f"{f}: pair_at({i + 1}) disagrees with tree")
             checked += 1
-        wide = kernel.s_prefix(4 * (1 << depth) + 4)
         s = lambda j: wide[j - 1]
         for k in range(kernel.start, (1 << depth) + 1):
             ok = (
@@ -502,12 +494,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NodeBudgetExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (FactorLimitExceeded, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARITHMETIC
+    except tuple(t for types, _ in _EXIT_BY_FAILURE for t in types) as exc:
+        code = next(code for types, code in _EXIT_BY_FAILURE if isinstance(exc, types))
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return code
 
 
 def console_main() -> None:

@@ -31,6 +31,7 @@ from ._record import Record, set_field
 from .monoid import Mat2, matrix_to_word
 from .pairs import (
     ENUMERABLE_POLYS,
+    BadPair,
     DivisorPair,
     EnumerablePoly,
     _moved,
@@ -140,7 +141,7 @@ class InverseTrace(Record):
 def _reduce(f: EnumerablePoly, p: DivisorPair) -> tuple[list[int], list[tuple[int, int]]]:
     """Peel p, a pair of the tree of f, down to (1, 0): exponents, visited pairs."""
     if p.poly != f.poly:
-        raise ValueError(f"pair {p} belongs to {p.poly}, not to {f.poly}")
+        raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
     return _peel(f, p.m, p.n, f.poly(p.n) // p.m)
 
 

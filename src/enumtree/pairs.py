@@ -34,6 +34,7 @@ __all__ = [
     "PolyLike",
     "as_poly",
     "EnumerablePoly",
+    "BadPair",
     "PHI0",
     "PHI1",
     "PSI2",
@@ -164,6 +165,10 @@ def pair_in_df(f: PolyLike, m: int, n: int) -> bool:
     return m >= 1 and n >= 0 and abs(as_poly(f)(n)) % m == 0
 
 
+class BadPair(ValueError):
+    """(m, n) is not a valid divisor pair for the operation asked of it."""
+
+
 class DivisorPair(Record):
     """A pair (m, n) with m >= 1 dividing |f(n)|, bound to its polynomial f.
 
@@ -175,13 +180,11 @@ class DivisorPair(Record):
 
     def __init__(self, m: int, n: int, poly: Poly) -> None:
         if m < 1:
-            raise ValueError(f"first component must be >= 1, got {m}")
+            raise BadPair(f"first component must be >= 1, got {m}")
         if n < 0:
-            raise ValueError(f"second component must be >= 0, got {n}")
+            raise BadPair(f"second component must be >= 0, got {n}")
         if abs(poly(n)) % m != 0:
-            raise ValueError(
-                f"{m} does not divide |f({n})| = {abs(poly(n))} for f = {poly}"
-            )
+            raise BadPair(f"{m} does not divide |f({n})| for f = {poly}")
         set_field(self, "m", m)
         set_field(self, "n", n)
         set_field(self, "poly", poly)

@@ -31,9 +31,10 @@ boundary pair {2^n, 2^(n+1) - 1}.  Fibers come from the divisors of |f(n)|,
 not a tree scan: per couple m * q = |f(n)| only the min side (m, n), m <= q,
 is reduced, to index k of L = bit_length(k) - 1 letters.  Its reduction
 checks m <= n < q, so (q, n) reduces by exponent 0, steps by c_bar to (m, n)
-and repeats the same steps: its word is k's with S and T swapped, index
-(3 << L) - 1 - k: odd, where words led by S have even indices.  At n = 0 the
-root (1, 0) is no min side, so every divisor is reduced there.
+and repeats the same steps: its word is k's with S and T swapped, so its
+index is k's mirror index (3 << L) - 1 - k: odd, where words led by S have
+even indices.  At n = 0 the root (1, 0) is no min side, so every divisor is
+reduced there.
 """
 
 from typing import Iterator
@@ -41,6 +42,7 @@ from typing import Iterator
 from ._record import Record, set_field
 from .arith import divisors
 from .maps import DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
+from .monoid import mirror_index
 from .pairs import DivisorPair, EnumerablePoly, make_pair
 
 __all__ = [
@@ -120,7 +122,7 @@ class SSeqKernel(Record):
         # the min sides, m * m <= |f(n)|; at n = 0 all, of which only (1, 0) is reachable
         for m in divs if n == 0 else divs[: (len(divs) + 1) // 2]:
             k = _index_from_exponents(_peel(f, m, n, value // m)[0])
-            out |= {k, (3 << (k.bit_length() - 1)) - 1 - k}
+            out |= {k, mirror_index(k)}
         return out
 
     def is_f_prime_via_fiber(self, n: int, fiber: set[int] | None = None) -> bool:

@@ -1,18 +1,22 @@
 import ast
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import enumtree
 from enumtree import arith, sseq
 from enumtree.arith import FactorLimitExceeded
-from enumtree.cli import main
+from enumtree.cli import _SUITES, main
 from enumtree.maps import f_hat
 from enumtree.monoid import index_to_word, word_to_matrix
 from enumtree.pairs import POLY_BY_NAME, Poly
@@ -126,6 +130,21 @@ def test_inverse_bad_pair_exit(capsys):
     assert code == 3 and "does not divide" in err
 
 
+def test_bad_pair_message_prints_when_f_n_is_too_long_to_print(capsys):
+    # |f(n)| has 4,401 digits, beyond the int-to-str limit; m and n are not
+    n = 10**2200 + 1
+    code, out, err = run(capsys, "inverse", "phi0", "3", str(n))
+    assert (code, out) == (3, "")
+    assert err == f"error: 3 does not divide |f({n})| for f = x^2+1\n"
+
+
+@pytest.mark.parametrize("name, m", [("phi0", "1"), ("psi2", "2")])
+def test_word_too_long_to_allocate_exits_5(capsys, name, m):
+    # the pair's word is S^(2^61 - 1) or longer: refused at once, not built
+    code, out, err = run(capsys, "inverse", name, m, str(2**61 - 1))
+    assert (code, out, err) == (5, "", "error: MemoryError\n")
+
+
 def test_fiber_reports(capsys):
     code, out, _ = run(capsys, "fiber", "phi0", "3")
     lines = dict(line.split(": ", 1) for line in out.splitlines())
@@ -202,17 +221,76 @@ def test_stats_prints_rows_within_budget_before_refusing(capsys):
 
 
 @pytest.mark.parametrize(
-    "exc", [FactorLimitExceeded("rho schedule exhausted"), ArithmeticError("unreachable pair")]
+    "exc, message",
+    [
+        (FactorLimitExceeded("rho schedule exhausted"), "rho schedule exhausted"),
+        (ArithmeticError("unreachable pair"), "unreachable pair"),
+        (MemoryError(), "MemoryError"),  # no text: the type names it
+    ],
 )
-def test_arithmetic_give_up_has_its_own_exit_code(capsys, monkeypatch, exc):
+def test_arithmetic_give_up_has_its_own_exit_code(capsys, monkeypatch, exc, message):
     def give_up(n):
         raise exc
 
     monkeypatch.setattr(arith, "factorize", give_up)
     code, out, err = run(capsys, "fiber", "phi0", "10")
     assert code == 5
-    assert err == f"error: {exc}\n"
+    assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+_POLY_NAME = st.sampled_from(sorted(POLY_BY_NAME))
+_HUGE = st.sampled_from([2**61 - 1, 10**30 + 1])
+_OPERANDS = st.one_of(
+    st.tuples(st.one_of(st.integers(-2, 60), _HUGE), st.one_of(st.integers(-2, 60), _HUGE)),
+    st.tuples(st.sampled_from([1, 2, 5, 10, 13, 17]), st.integers(0, 8)),  # often pairs
+    st.tuples(st.sampled_from([1, 2]), _HUGE),  # pairs whose words are too long to allocate
+)
+
+
+def _flag(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv of every command at small sizes; huge operands only for inverse and primerep."""
+    command = draw(st.sampled_from(
+        ["tree", "seq", "inverse", "fiber", "verify", "scan", "stats", "primerep"]
+    ))
+    fmt = {"tree": ("json", "text"), "seq": ("bfile", "json"), "stats": ("text", "json")}
+    budget = _flag("--max-nodes", st.integers(-2, 200))
+    if command in ("tree", "stats"):
+        size = "--depth" if command == "tree" else "--kmax"
+        rest = [draw(_POLY_NAME), size, str(draw(st.integers(-2, 6)))] + draw(budget)
+    elif command == "seq":
+        rest = [draw(_POLY_NAME), "--count", str(draw(st.integers(-2, 60)))]
+    elif command in ("inverse", "primerep"):
+        rest = [draw(_POLY_NAME), *map(str, draw(_OPERANDS))]
+    elif command == "fiber":
+        rest = [draw(_POLY_NAME), str(draw(st.integers(-2, 2000)))]
+    elif command == "verify":
+        suite = draw(st.sampled_from(sorted(_SUITES)))
+        rest = [suite, "--bound", str(draw(st.integers(-2, 3)))]
+    else:
+        token = st.sampled_from([*map(str, range(-3, 4)), "--nmax", "x", "--"])
+        rest = draw(st.sampled_from([["--"], []])) + draw(st.lists(token, max_size=5))
+        rest += draw(_flag("--nmax", st.integers(-2, 8)))
+    if command in fmt:
+        rest += draw(_flag("--format", st.sampled_from(fmt[command])))
+    return [command, *rest]
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_cli_argv())
+def test_every_argv_gets_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)  # an escaping exception fails the test
+    assert code in {0, 1, 2, 3, 4, 5}
+    assert code != 1 or argv[0] == "verify"
+    if code in (3, 4):
+        assert out.getvalue() == ""
 
 
 def test_primerep(capsys):
@@ -435,6 +513,16 @@ def test_closed_stdout_exits_cleanly(argv):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err
+
+
+def test_only_main_maps_failures_to_exit_codes():
+    tree = ast.parse((Path(enumtree.__file__).parent / "cli.py").read_text())
+    commands = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert len(commands) == 8
+    assert [c.name for c in commands if any(isinstance(n, ast.Try) for n in ast.walk(c))] == []
 
 
 def test_library_has_no_assert_statements():

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enumtree.maps import _int_rows
+import enumtree
+from enumtree.analytics import prime_representation
+from enumtree.classify import check_condition
+from enumtree.maps import _int_rows, f_hat_inverse
 from enumtree.pairs import (
     ENUMERABLE_POLYS,
     PHI0,
     PHI1,
     PHI3,
     PSI2,
+    BadPair,
     DivisorPair,
     EnumerablePoly,
     c_bar,
@@ -88,6 +92,33 @@ def test_pair_construction_guards():
         make_pair(3, 1, PHI0)
     with pytest.raises(ValueError):
         make_pair(1, -1, PHI0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda: make_pair(0, 5, PHI0),
+        lambda: make_pair(1, -1, PHI0),
+        lambda: make_pair(3, 1, PHI0),
+        lambda: f_hat_inverse(PHI0, make_pair(3, 1, PHI1)),  # a pair of another tree
+        lambda: prime_representation(PHI0, 10, 3),  # 10 is not prime
+        lambda: prime_representation(PHI0, 113, 128),  # n >= p
+        lambda: check_condition(PHI0, 3, 1),
+    ],
+)
+def test_bad_pairs_raise_bad_pair(bad):
+    with pytest.raises(BadPair):
+        bad()
+
+
+def test_bad_pair_is_a_public_value_error():
+    assert issubclass(BadPair, ValueError)
+    assert enumtree.BadPair is BadPair and "BadPair" in enumtree.__all__
+    with pytest.raises(ValueError) as info:
+        check_condition(PHI0, 1, 0)  # a pair, but the root is excluded
+    assert type(info.value) is ValueError
+    with pytest.raises(BadPair, match=r"^3 does not divide \|f\(1\)\| for f = x\^2\+1$"):
+        make_pair(3, 1, PHI0)
 
 
 def test_s_bar_examples():
