@@ -221,22 +221,26 @@ def test_stats_prints_rows_within_budget_before_refusing(capsys):
 
 
 @pytest.mark.parametrize(
-    "exc, message",
-    [
-        (FactorLimitExceeded("rho schedule exhausted"), "rho schedule exhausted"),
-        (ArithmeticError("unreachable pair"), "unreachable pair"),
-        (MemoryError(), "MemoryError"),  # no text: the type names it
-    ],
+    "exc", [FactorLimitExceeded("rho schedule exhausted"), ArithmeticError("unreachable pair")]
 )
-def test_arithmetic_give_up_has_its_own_exit_code(capsys, monkeypatch, exc, message):
+def test_arithmetic_give_up_has_its_own_exit_code(capsys, monkeypatch, exc):
     def give_up(n):
         raise exc
 
     monkeypatch.setattr(arith, "factorize", give_up)
     code, out, err = run(capsys, "fiber", "phi0", "10")
     assert code == 5
-    assert err == f"error: {message}\n"
+    assert err == f"error: {exc}\n"
     assert "Traceback" not in err
+
+
+def test_memory_error_without_text_exits_5_with_its_type_name(capsys, monkeypatch):
+    def give_up(n):
+        raise MemoryError()
+
+    monkeypatch.setattr(arith, "factorize", give_up)
+    code, out, err = run(capsys, "fiber", "phi0", "10")
+    assert (code, err) == (5, "error: MemoryError\n")
 
 
 _POLY_NAME = st.sampled_from(sorted(POLY_BY_NAME))
