@@ -19,8 +19,7 @@ inverse-reduction chain of (p, n):
 equal-valued adjacent factors are deliberately left uncancelled.
 """
 
-from itertools import groupby
-from operator import itemgetter
+from math import gcd
 from typing import TYPE_CHECKING
 
 from ._record import Record, set_field
@@ -59,21 +58,29 @@ class RowStats(Record):
 def row_stats(k: int, row: list[tuple[int, int]]) -> RowStats:
     """Sums over row k given as its (m, n) pairs, by direct summation.
 
-    The n sharing a denominator m are added as integers; the terms N_m / m are
-    then summed as a balanced binary tree, merged like a binary counter (after
-    the i-th term the stack holds one partial sum per set bit of i).
+    One dict pass adds the n sharing a denominator m as integers; the terms
+    N_m / m are then summed as a balanced binary tree, merged like a binary
+    counter (after the i-th term the stack holds one partial sum per set bit of
+    i), as reduced integer pairs added as Fraction.__add__ does (Knuth, TAOCP 4.5.1).
     """
     from fractions import Fraction
-    row = sorted(row)
-    stack: list[Fraction] = []
-    for i, (m, group) in enumerate(groupby(row, key=itemgetter(0)), 1):
-        term = Fraction(sum(n for _, n in group), m)
-        while not i & 1:
-            term = stack.pop() + term
+    groups: dict[int, int] = {}
+    for m, n in row:
+        groups[m] = groups.get(m, 0) + n
+    stack: list[tuple[int, int]] = []
+    for i, (db, nb) in enumerate(groups.items(), 1):
+        g = gcd(nb, db)
+        nb, db = nb // g, db // g
+        while not i & 1:  # nb / db += the partial sum on top of the stack
+            na, da = stack.pop()
+            g = gcd(da, db)
+            nb = na * (db // g) + nb * (da // g)
+            g2 = gcd(nb, g)
+            nb, db = nb // g2, da // g * (db // g2)
             i >>= 1
-        stack.append(term)
-    ratio_sum = sum(reversed(stack), Fraction(0))
-    return RowStats(k, sum(m for m, _ in row), sum(n for _, n in row), ratio_sum)
+        stack.append((nb, db))
+    ratio_sum = sum((Fraction(*term) for term in reversed(stack)), Fraction(0))
+    return RowStats(k, sum(m for m, _ in row), sum(groups.values()), ratio_sum)
 
 
 def row_stats_direct(

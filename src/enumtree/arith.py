@@ -2,12 +2,13 @@
 
 Everything here is exact and works on arbitrary-precision integers.  Primality
 is Miller-Rabin to the prime bases 2..41, a proof below psi_13 =
-3,317,044,064,679,887,385,961,981; above it a True means a strong probable
-prime, which factorize keeps as a prime factor.  Factorization is trial
-division by the primes below 1000, which proves a cofactor below p * p, for
-the next trial prime p, to be 1 or prime; larger ones go through Miller-Rabin
-and Brent's variant of Pollard's rho with a fixed, deterministic parameter
-schedule, so repeated runs give identical results.
+3,317,044,064,679,887,385,961,981: it stops after base t once n < psi_t (_PSI).
+From psi_13 on it is Baillie-PSW, the 13 bases then a strong Lucas test, so a
+True means a probable prime, which factorize keeps as a prime factor.
+Factorization is trial division by the primes below 1000, which proves a
+cofactor below p * p, for the next trial prime p, to be 1 or prime; larger ones
+go through Miller-Rabin and Brent's variant of Pollard's rho with a fixed,
+deterministic parameter schedule, so repeated runs give identical results.
 """
 
 from math import gcd, isqrt
@@ -22,8 +23,12 @@ __all__ = [
     "FactorLimitExceeded",
 ]
 
-# Exact below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_t, the least strong pseudoprime to the first t bases: below it they are a proof
+# (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster, Math. Comp. 86, 2017).
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
 
 
 class FactorLimitExceeded(RuntimeError):
@@ -54,17 +59,52 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return isqrt(n) ** 2 != n and _is_strong_lucas_prp(n)  # a square has no Selfridge D
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        z = (a & -a).bit_length() - 1  # (2 / n) = -1 iff n = 3, 5 mod 8
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & 3 == 3 and n & 3 == 3:  # reciprocity
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas test of odd n > 41, not a square, with Selfridge's P = 1, Q = (1 - D) / 4."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # 1 < gcd(|D|, n) < n
             return False
-    return True
+        D = 2 - D if D < 0 else -D - 2
+    Q, half, s = (1 - D) // 4, (n + 1) // 2, ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 0, 2, 1  # U_k, V_k, Q^k at k = 0
+    for bit in bin((n + 1) >> s)[2:]:  # up to k = d, the odd part of n + 1
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":  # k + 1; half is the inverse of 2 mod n
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    for _ in range(s):  # strong: V_(d * 2^r) = 0 for some r < s, or U_d = 0
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return U == 0
 
 
 def _brent_rho(n: int) -> int:

@@ -14,9 +14,10 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 budget exceeded or usage
 error, 3 bad pair (BadPair), 4 polynomial vanishes on the scanned range, 5
 arithmetic give-up (factorization limit, unreducible pair, number too large,
-a result too large to allocate), 141 (128 + SIGPIPE) stdout closed by the
-reader, e.g. by `| head`.  Commands raise; main alone maps a failure to its
-code, by the table _EXIT_BY_FAILURE.
+a result too large to allocate), 70 internal error (any other exception,
+reported on one stderr line `internal error: <Type>: <message>`), 141 (128 +
+SIGPIPE) stdout closed by the reader, e.g. by `| head`.  Commands raise; main
+alone maps a failure to its code, by the table _EXIT_BY_FAILURE.
 
 All output is deterministic; integers above 2^53 - 1 are serialized as
 decimal strings in JSON so double-parsing consumers keep exact values.
@@ -55,6 +56,7 @@ EXIT_BUDGET = 2
 EXIT_BAD_PAIR = 3
 EXIT_VANISHING = 4
 EXIT_ARITHMETIC = 5
+EXIT_INTERNAL = 70  # EX_SOFTWARE of sysexits.h
 EXIT_BROKEN_PIPE = 141
 
 # The first row whose types match a failure gives its exit code, so the
@@ -322,20 +324,19 @@ def _suite_recursions(bound: int):
     for f in ENUMERABLE_POLYS:
         kernel = kernel_for(f)
         flat = [pair for row in int_tree_rows(f, depth) for pair in row]
-        wide = kernel.s_prefix(4 * (1 << depth) + 4)  # covers the len(flat) nodes too
-        for i, (m, n) in enumerate(flat):
-            if wide[i] != n:
-                failures.append(f"{f}: s({i + 1}) = {wide[i]} != tree value {n}")
-            if kernel.pair_at(i + 1).components() != (m, n):
-                failures.append(f"{f}: pair_at({i + 1}) disagrees with tree")
+        s = [0, *kernel.s_prefix(4 * (1 << depth) + 4)]  # s[j] is s(j), for the flat nodes too
+        for i, (m, n) in enumerate(flat, 1):
+            if s[i] != n:
+                failures.append(f"{f}: s({i}) = {s[i]} != tree value {n}")
+            if kernel.pair_at(i).components() != (m, n):
+                failures.append(f"{f}: pair_at({i}) disagrees with tree")
             checked += 1
-        s = lambda j: wide[j - 1]
         for k in range(kernel.start, (1 << depth) + 1):
             ok = (
-                s(4 * k) == 2 * s(2 * k) - s(k)
-                and s(4 * k + 1) == 2 * s(2 * k) + s(2 * k + 1) + kernel.const
-                and s(4 * k + 2) == 2 * s(2 * k + 1) + s(2 * k) + kernel.const
-                and s(4 * k + 3) == 2 * s(2 * k + 1) - s(k)
+                s[4 * k] == 2 * s[2 * k] - s[k]
+                and s[4 * k + 1] == 2 * s[2 * k] + s[2 * k + 1] + kernel.const
+                and s[4 * k + 2] == 2 * s[2 * k + 1] + s[2 * k] + kernel.const
+                and s[4 * k + 3] == 2 * s[2 * k + 1] - s[k]
             )
             if not ok:
                 failures.append(f"{f}: recursion branch broken at k = {k}")
@@ -498,6 +499,11 @@ def main(argv: list[str] | None = None) -> int:
         code = next(code for types, code in _EXIT_BY_FAILURE if isinstance(exc, types))
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
+    except BrokenPipeError:
+        raise  # console_main's exit 141
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

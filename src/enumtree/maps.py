@@ -138,19 +138,19 @@ class InverseTrace(Record):
         set_field(self, "index", index)
 
 
-def _reduce(f: EnumerablePoly, p: DivisorPair) -> tuple[list[int], list[tuple[int, int]]]:
-    """Peel p, a pair of the tree of f, down to (1, 0): exponents, visited pairs."""
+def _reduce(f: EnumerablePoly, p: DivisorPair, chain: list | None = None) -> list[int]:
+    """Peel p, a pair of the tree of f, down to (1, 0): its exponents (see _peel)."""
     if p.poly != f.poly:
         raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
-    return _peel(f, p.m, p.n, f.poly(p.n) // p.m)
+    return _peel(f, p.m, p.n, f.poly(p.n) // p.m, chain)
 
 
-def _peel(f: EnumerablePoly, m: int, n: int, q: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """_reduce from (m, n) given its signed cofactor q = f(n) / m, carried from here on."""
+def _peel(f: EnumerablePoly, m: int, n: int, q: int, chain: list | None = None) -> list[int]:
+    """_reduce from (m, n) given its signed cofactor q = f(n) / m, carried from here on;
+    only if given a chain list, ending in (m, n), appends each further visited pair to it."""
     b = f.poly.coeffs[1]
     exponents: list[int] = []
-    chain = [(m, n)]
-    while (m, n) != (1, 0):
+    while n or m != 1:
         cof = abs(q)
         lo, hi = min(m, cof), max(m, cof)
         if not (lo <= n < hi):
@@ -164,11 +164,12 @@ def _peel(f: EnumerablePoly, m: int, n: int, q: int) -> tuple[list[int], list[tu
         if a:
             q = _shifted_cofactor(q, n, b, -a, m)
             n -= a * m
-            chain.append((m, n))
+            if chain is not None:
+                chain.append((m, n))
         m, q = abs(q), (m if q > 0 else -m)  # c_bar: f(n) = m * q
-        if (m, n) != chain[-1]:
+        if chain is not None and (m, n) != chain[-1]:
             chain.append((m, n))
-    return exponents, chain
+    return exponents
 
 
 def _word_from_exponents(exponents: list[int]) -> str:
@@ -191,7 +192,8 @@ def _index_from_exponents(exponents: list[int]) -> int:
 def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
     """Invert the tree map at p (a pair of the tree of f): word, index, and
     the full reduction chain."""
-    exponents, chain = _reduce(f, p)
+    chain = [(p.m, p.n)]
+    exponents = _reduce(f, p, chain)
     # The chain pairs are p moved by s_bar_inv and c_bar: no check needed.
     return InverseTrace(
         exponents=tuple(exponents),
@@ -203,7 +205,7 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
 
 def f_hat_inverse_index(f: EnumerablePoly, p: DivisorPair) -> int:
     """f_hat_inverse(f, p).index, without building the word or the chain pairs."""
-    return _index_from_exponents(_reduce(f, p)[0])
+    return _index_from_exponents(_reduce(f, p))
 
 
 def _int_rows(b: int, row: list[tuple[int, int]], cofs: list[int], depth: int):

@@ -121,7 +121,7 @@ class SSeqKernel(Record):
         out = set()
         # the min sides, m * m <= |f(n)|; at n = 0 all, of which only (1, 0) is reachable
         for m in divs if n == 0 else divs[: (len(divs) + 1) // 2]:
-            k = _index_from_exponents(_peel(f, m, n, value // m)[0])
+            k = _index_from_exponents(_peel(f, m, n, value // m))
             out |= {k, mirror_index(k)}
         return out
 

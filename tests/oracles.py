@@ -5,6 +5,8 @@ enumeration.  Nothing here may call into enumtree, so the library is always
 checked against an unrelated computation path.
 """
 
+from fractions import Fraction
+
 
 def trial_tau(v: int) -> int:
     """Divisor count by trial division."""
@@ -55,6 +57,11 @@ def trial_factorize(v: int) -> dict[int, int]:
     if v > 1:
         out[v] = out.get(v, 0) + 1
     return out
+
+
+def row_ratio_sum(row: list[tuple[int, int]]) -> Fraction:
+    """Sum of n / m over the (m, n) pairs of a row, term by term."""
+    return sum((Fraction(n, m) for m, n in row), Fraction(0))
 
 
 def bfs_words(depth: int) -> list[str]:

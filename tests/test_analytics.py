@@ -13,7 +13,7 @@ from enumtree.analytics import (
 )
 from enumtree.maps import int_tree_rows, tree_rows
 from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1
-from oracles import quadratic_roots_scan, replay_n_values, trial_is_prime
+from oracles import quadratic_roots_scan, replay_n_values, row_ratio_sum, trial_is_prime
 
 
 def test_row_stats_direct_examples():
@@ -46,6 +46,22 @@ def test_row_sums_match_naive_left_to_right_sums(f):
         assert (st.k, st.m_sum, st.n_sum, st.ratio_sum) == (k, *expected)
         st = row_stats(k, [p.components() for p in reversed(row)])
         assert (st.k, st.m_sum, st.n_sum, st.ratio_sum) == (k, *expected)
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_row_stats_matches_the_term_by_term_oracle(f):
+    for k, row in enumerate(int_tree_rows(f, 11)):
+        st = row_stats(k, row)
+        assert st.ratio_sum == row_ratio_sum(row), k
+        assert (st.m_sum, st.n_sum) == (sum(m for m, _ in row), sum(n for _, n in row))
+
+
+def test_row_stats_on_a_row_with_repeated_m_and_a_zero_n():
+    row = [(6, 4), (1, 0), (6, 9), (4, 2), (6, 0), (9, 6), (4, 6), (3, 0), (9, 3)]
+    st = row_stats(7, row)
+    assert (st.k, st.m_sum, st.n_sum) == (7, 48, 30)
+    assert st.ratio_sum == row_ratio_sum(row) == Fraction(13, 6) + 2 + 1
+    assert isinstance(st.ratio_sum, Fraction)
 
 
 def test_phi0_row_ratio_sums_match_closed_form():

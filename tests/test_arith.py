@@ -32,6 +32,55 @@ def test_is_prime_rejects_the_least_strong_pseudoprime_to_bases_up_to_37():
     assert tau(PSI_12) == 4
 
 
+# psi_t (OEIS A014233): the least strong pseudoprime to the first t prime bases.
+PSI = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+]
+
+
+def test_is_prime_stops_at_the_published_psi_bounds():
+    assert list(arith._PSI) == PSI
+    # each psi_t passes the rounds before the t-th stop, so a <= there would call it prime
+    for t, psi in enumerate(PSI, 1):
+        assert not is_prime(psi), t
+
+
+def test_is_prime_rejects_psi_13_by_the_lucas_test():
+    psi_13 = PSI[-1]
+    assert not is_prime(psi_13)
+    assert factorize(psi_13) == {1287836182261: 1, 2575672364521: 1}
+    assert tau(psi_13) == 4
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+        82203157 * 164406313 * 246609469,  # (6k+1)(12k+1)(18k+1) above psi_13
+        82206367 * 164412733 * 246619099,
+    ],
+)
+def test_carmichael_numbers_are_composite(n):
+    assert not is_prime(n)
+
+
+def test_strong_lucas_pseudoprimes_pass_lucas_but_not_is_prime():
+    # OEIS A217255: composites passing the strong Lucas test with Selfridge's parameters
+    for n in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519):
+        assert arith._is_strong_lucas_prp(n) and not is_prime(n), n
+    for p in (43, 47, 997, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1):
+        assert arith._is_strong_lucas_prp(p), p
+    for n in (997**2, (2**61 - 1) ** 2, (2**89 - 1) ** 2):  # a square has no Selfridge D
+        assert not is_prime(n), n
+
+
+def test_is_prime_agrees_with_the_sieve_below_200000():
+    primes = set(primes_up_to(200_000))
+    assert [n for n in range(200_000) if is_prime(n) != (n in primes)] == []
+
+
 def test_factorize_small_range():
     for n in range(1, 2000):
         assert factorize(n) == trial_factorize(n), n
@@ -88,6 +137,15 @@ def test_is_prime_and_factorize_agree_with_sympy():
         assert not is_prime(n) and factorize(n) == sympy.factorint(n), n
         odd = rng.getrandbits(rng.randint(60, 120)) | 1
         assert is_prime(odd) == sympy.isprime(odd), odd
+    # from 82 bits on, n >= psi_13: the Baillie-PSW path; rho factors the small side
+    for _ in range(16):
+        p = sympy.nextprime(rng.getrandbits(rng.randint(82, 128)))
+        assert is_prime(p) and factorize(p) == {p: 1}
+        bits = rng.randint(82, 128)
+        n = sympy.nextprime(rng.getrandbits(bits // 2)) * sympy.nextprime(rng.getrandbits(bits // 2))
+        assert not is_prime(n), n
+        n = sympy.nextprime(rng.getrandbits(24)) * sympy.nextprime(rng.getrandbits(bits - 24))
+        assert not is_prime(n) and factorize(n) == sympy.factorint(n), n
 
 
 def test_factorize_rejects_nonpositive():

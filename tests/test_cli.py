@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumtree
-from enumtree import arith, sseq
+from enumtree import arith, cli, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
 from enumtree.maps import f_hat
@@ -243,6 +243,24 @@ def test_memory_error_without_text_exits_5_with_its_type_name(capsys, monkeypatc
     assert (code, err) == (5, "error: MemoryError\n")
 
 
+def test_unexpected_exception_exits_70_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("phi9")
+
+    monkeypatch.setattr(cli, "_cmd_fiber", broken)
+    code, out, err = run(capsys, "fiber", "phi0", "10")
+    assert (code, out, err) == (70, "", "internal error: KeyError: 'phi9'\n")
+
+
+def test_broken_pipe_still_reaches_console_main(monkeypatch):
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_cmd_fiber", closed)
+    with pytest.raises(BrokenPipeError):
+        main(["fiber", "phi0", "10"])
+
+
 _POLY_NAME = st.sampled_from(sorted(POLY_BY_NAME))
 _HUGE = st.sampled_from([2**61 - 1, 10**30 + 1])
 _OPERANDS = st.one_of(
@@ -314,6 +332,15 @@ def test_primerep_refuses_a_strong_pseudoprime_to_bases_up_to_37(capsys):
     )
     assert (code, out) == (3, "")
     assert err == "error: 318665857834031151167461 is not prime\n"
+
+
+def test_primerep_refuses_the_least_strong_pseudoprime_to_bases_up_to_41(capsys):
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 divides f(n)
+    code, out, err = run(
+        capsys, "primerep", "phi0", "3317044064679887385961981", "806966215798523717614900"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: 3317044064679887385961981 is not prime\n"
 
 
 def test_verify_suites_pass(capsys):
@@ -479,7 +506,28 @@ GOLDEN_VERIFY_SHA256 = [
     ("primality", "800e984b1025363b1a2b235e7526869bdcd1a98709958cb6a0fa4f00b173c892"),
     ("bijectivity", "f6abfd23cb233ce82107fcc79c77297c964c734669abdf46e647abaace4209ab"),
     ("classification", "533e6158c42ffe34914aac357b55b46d234d5569555b3a702e5b15c303e210e3"),
+    # recorded from the CLI that summed each row as Fractions and ran all 13
+    # Miller-Rabin rounds on every number
+    ("recursions", "1d2bd81a5705eb53a7f8eea9967b3d7f23163a1c81025c2f030ccfebc57d20d6"),
+    ("rowsums", "2c1f6f268eb27fb8267ac46800080c04399390b3e86466fc70847dbb3e07eb79"),
+    ("prime-reps", "cc018262e2bc1690d5279abc8151cf89f5111400c89e854a14cc5cb139629539"),
 ]
+
+# stdout SHA-256 of `primerep <poly> p n` for one 40-60-bit prime p per tree,
+# recorded from the CLI that ran all 13 Miller-Rabin rounds on every number.
+GOLDEN_PRIMEREP_SHA256 = [
+    ("phi0", "541439316490469", "104191065201011", "95bef1805f2e684df842690f95121543593c3a3f4b520d570b5164316f7e55ce"),
+    ("phi1", "1091840133673", "242984437591", "3b7abdfc326d4358ff4be6bf2e2ce40ad508eff991ffa949aabb82744b5970fd"),
+    ("psi2", "62827833408401", "12643968686437", "cba1a10715f9159c490363298ec85d5ef44bdb9f738fad2de93e8afd80bfde86"),
+    ("phi3", "2275903886629601", "586657393834509", "68488e016cce1f6d5a82c6390caf156265cf1df89eab5e951493315b814f2813"),
+]
+
+
+@pytest.mark.parametrize("name, p, n, digest", GOLDEN_PRIMEREP_SHA256)
+def test_primerep_matches_golden_hash(capsys, name, p, n, digest):
+    code, out, _ = run(capsys, "primerep", name, p, n)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("suite, digest", GOLDEN_VERIFY_SHA256)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from enumtree.maps import (
     NodeBudgetExceeded,
+    _peel,
     f_hat,
     f_hat_inverse,
     f_hat_inverse_index,
@@ -151,6 +152,22 @@ def test_inverse_round_trip_on_20000_letter_words():
         word = index_to_word((1 << 20000) | random.Random(20000 + i).getrandbits(20000))
         trace = f_hat_inverse(f, f_hat(f, word_to_matrix(word)))
         assert trace.word == word and trace.index == word_to_index(word)
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_peel_gives_the_same_exponents_with_and_without_a_chain(f):
+    rng = random.Random(148)
+    for _ in range(50):
+        word = "".join(rng.choice("ST") for _ in range(rng.randint(0, 300)))
+        p = f_hat(f, word_to_matrix(word))
+        q = f.poly(p.n) // p.m
+        chain = [p.components()]
+        exponents = _peel(f, p.m, p.n, q, chain)
+        assert _peel(f, p.m, p.n, q) == exponents
+        trace = f_hat_inverse(f, p)
+        assert (tuple(exponents), trace.word) == (trace.exponents, word)
+        assert chain == [c.components() for c in trace.pairs]
+        assert chain[-1] == (1, 0) and all(a != b for a, b in zip(chain, chain[1:]))
 
 
 def test_inverse_refuses_an_unreachable_pair():
