@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,9 +18,9 @@ import enumtree
 from enumtree import arith, cli, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
-from enumtree.maps import f_hat
+from enumtree.maps import f_hat, f_hat_inverse
 from enumtree.monoid import index_to_word, word_to_matrix
-from enumtree.pairs import POLY_BY_NAME, Poly
+from enumtree.pairs import POLY_BY_NAME, Poly, make_pair
 
 
 def run(capsys, *argv):
@@ -49,6 +50,13 @@ def test_seq_json_records(capsys):
     recs = [json.loads(line) for line in out.splitlines()]
     assert [r["n"] for r in recs] == [0, 1, 1, 2, 3, 3, 2]
     assert recs[4] == {"index": 5, "m": 7, "n": 3, "word": "TS", "row": 2}
+
+
+@pytest.mark.parametrize("fmt", ["bfile", "json"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_seq_refuses_a_nonpositive_count_in_every_format(capsys, fmt, count):
+    code, out, err = run(capsys, "seq", "phi0", "--count", count, "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: count must be >= 1, got {count}\n")
 
 
 def test_tree_json(capsys):
@@ -496,6 +504,69 @@ def test_inverse_matches_golden_hash(capsys, name, seed, digest):
     code, out, _ = run(capsys, "inverse", name, str(pair.m), str(pair.n))
     assert code == 0 and f"word: {word}\n" in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _pair_of_random_word(name, length, seed):
+    word = index_to_word((1 << length) | random.Random(seed).getrandbits(length))
+    return f_hat(POLY_BY_NAME[name], word_to_matrix(word))
+
+
+def _inverse_oracle(name, m, n):
+    # the text every chain pair's str() joined gives, built from the library
+    f = POLY_BY_NAME[name]
+    trace = f_hat_inverse(f, make_pair(m, n, f))
+    return (
+        f"pair: {trace.pairs[0]}\nword: {trace.word or '(empty)'}\n"
+        f"matrix: {word_to_matrix(trace.word)}\nindex: {trace.index}\n"
+        "chain: " + " ".join(str(p) for p in trace.pairs) + "\n"
+    )
+
+
+@pytest.mark.parametrize("name", list(POLY_BY_NAME))
+@pytest.mark.parametrize("length", [0, 1, 50, 3000])
+def test_inverse_chain_text_matches_the_joined_str_oracle(capsys, name, length):
+    # the 3,000-letter word's chain (~1,000-digit pairs) spans many writes
+    pair = _pair_of_random_word(name, length, length)
+    expected = _inverse_oracle(name, pair.m, pair.n)
+    assert run(capsys, "inverse", name, str(pair.m), str(pair.n)) == (0, expected, "")
+
+
+def test_inverse_of_the_root_matches_the_joined_str_oracle(capsys):
+    assert run(capsys, "inverse", "phi0", "1", "0") == (0, _inverse_oracle("phi0", 1, 0), "")
+
+
+class _HashingSink:
+    """A stdout that keeps only the SHA-256, the size and the largest write."""
+
+    def __init__(self):
+        self.digest, self.size, self.largest = hashlib.sha256(), 0, 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.size += len(text)
+        self.largest = max(self.largest, len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_inverse_output_memory_is_bounded(monkeypatch):
+    # a 4,000-letter word: ~1,380-digit pair, 5.7 MB of chain text; the digest
+    # was recorded from the CLI that joined the whole chain into one string
+    pair = _pair_of_random_word("phi0", 4000, 4000)
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["inverse", "phi0", str(pair.m), str(pair.n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 5_000_000
+    assert sink.digest.hexdigest() == "df7473a6806d63a8705cf3b0b26ddcf7d1722a9f08c0ed40eca97e7442143337"
+    assert peak < sink.size
+    assert sink.largest <= 1 << 20
 
 
 # stdout SHA-256 of `verify <suite>` at its default bound, recorded from the CLI
