@@ -10,142 +10,22 @@ alternating prime-product representations, and a violation scanner for
 arbitrary integer polynomials.
 """
 
-from .analytics import (
-    PrimeRepresentation,
-    RowStats,
-    prime_representation,
-    primes_with_divisor,
-    ratio_closed_form,
-    roots_mod_p,
-    row_stats_direct,
-    row_stats_recursive,
-)
-from .classify import (
-    LEFT,
-    RIGHT,
-    PolynomialVanishes,
-    ViolationCertificate,
-    check_condition,
-    composite_witness,
-    injectivity_surjectivity_report,
-    scan_violations,
-)
-from .maps import (
-    DEFAULT_NODE_BUDGET,
-    InverseTrace,
-    NodeBudgetExceeded,
-    f_hat,
-    f_hat_inverse,
-    f_hat_via_action,
-    phi_beta,
-    psi_beta,
-    relatives,
-    tree_rows,
-)
-from .monoid import (
-    GEN_S,
-    GEN_T,
-    IDENTITY,
-    Mat2,
-    complement,
-    index_to_word,
-    mat_mul,
-    matrix_to_word,
-    mirror_index,
-    word_to_index,
-    word_to_matrix,
-)
-from .pairs import (
-    ENUMERABLE_POLYS,
-    PHI0,
-    PHI1,
-    PHI3,
-    POLY_BY_NAME,
-    PSI2,
-    BadPair,
-    DivisorPair,
-    EnumerablePoly,
-    Poly,
-    c_bar,
-    make_pair,
-    pair_in_df,
-    poly,
-    poly_eval,
-    s_bar,
-    s_bar_inv,
-    t_bar,
-)
-from .sseq import (
-    L_MATRIX,
-    R_MATRIX,
-    SSeqKernel,
-    kernel_for,
-    net_expand,
-    vector_tree_rows,
-)
+from . import analytics, classify, maps, monoid, pairs, sseq
+from .analytics import *
+from .classify import *
+from .maps import *
+from .monoid import *
+from .pairs import *
+from .sseq import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is its list of public names; the package re-exports them all.
 __all__ = [
-    "Mat2",
-    "GEN_S",
-    "GEN_T",
-    "IDENTITY",
-    "mat_mul",
-    "complement",
-    "word_to_matrix",
-    "matrix_to_word",
-    "word_to_index",
-    "index_to_word",
-    "mirror_index",
-    "Poly",
-    "poly",
-    "poly_eval",
-    "EnumerablePoly",
-    "PHI0",
-    "PHI1",
-    "PSI2",
-    "PHI3",
-    "ENUMERABLE_POLYS",
-    "POLY_BY_NAME",
-    "BadPair",
-    "DivisorPair",
-    "make_pair",
-    "pair_in_df",
-    "s_bar",
-    "c_bar",
-    "t_bar",
-    "s_bar_inv",
-    "phi_beta",
-    "psi_beta",
-    "f_hat",
-    "f_hat_via_action",
-    "relatives",
-    "InverseTrace",
-    "f_hat_inverse",
-    "tree_rows",
-    "DEFAULT_NODE_BUDGET",
-    "NodeBudgetExceeded",
-    "SSeqKernel",
-    "kernel_for",
-    "L_MATRIX",
-    "R_MATRIX",
-    "vector_tree_rows",
-    "net_expand",
-    "LEFT",
-    "RIGHT",
-    "ViolationCertificate",
-    "PolynomialVanishes",
-    "check_condition",
-    "scan_violations",
-    "injectivity_surjectivity_report",
-    "composite_witness",
-    "RowStats",
-    "row_stats_direct",
-    "row_stats_recursive",
-    "ratio_closed_form",
-    "PrimeRepresentation",
-    "prime_representation",
-    "roots_mod_p",
-    "primes_with_divisor",
+    *monoid.__all__,
+    *pairs.__all__,
+    *maps.__all__,
+    *sseq.__all__,
+    *classify.__all__,
+    *analytics.__all__,
 ]

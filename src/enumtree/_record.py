@@ -1,7 +1,8 @@
 """Frozen value records, without the start-up cost of importing dataclasses.
 
 A record's fields are its __slots__, which its own __init__ fills with
-set_field; equality, hashing, repr and pickling go by the fields in order.
+set_field.  _fields() reads them in order, and equality, hashing, repr and
+pickling all go by it; a subclass may put identity back for __eq__/__hash__.
 """
 
 set_field = object.__setattr__
@@ -13,28 +14,11 @@ def _frozen(message: str):
     raise FrozenInstanceError(message)
 
 
-def _by_value(cls: type) -> type:
-    """Give cls the __eq__ and __hash__ that dataclass would generate.
-
-    They read the fields inline, twice as fast as a generic getter; a class
-    compiles them at its first comparison, so imports do not pay for them.
-    """
-    this = "(" + "".join(f"self.{k}, " for k in cls.__slots__) + ")"
-    methods: dict = {}
-    exec(
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return {this} == {this.replace('self.', 'other.')}\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash({this})\n",
-        methods,
-    )
-    cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
-    return cls
-
-
 class Record:
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
 
     def __setattr__(self, name, value):
         _frozen(f"cannot assign to field {name!r}")
@@ -43,14 +27,16 @@ class Record:
         _frozen(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        return _by_value(self.__class__).__eq__(self, other)
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
 
     def __hash__(self):
-        return _by_value(self.__class__).__hash__(self)
+        return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, k) for k in self.__slots__)
+        return self.__class__, self._fields()

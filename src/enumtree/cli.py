@@ -88,14 +88,15 @@ def _record_line(index: int, m: int, n: int, word: str, row: int) -> str:
 
 def _write_joined(parts, sep: str = "\n", per_write: int = _CHUNK_LINES) -> None:
     """Write parts to stdout, sep between them and a newline after the last,
-    joining at most per_write parts per write, never a whole output."""
+    one write per at most per_write parts, never a whole output."""
     write = sys.stdout.write
     parts = iter(parts)
     chunk = list(islice(parts, per_write))
     while chunk:
+        following = list(islice(parts, per_write))
+        chunk[-1] += sep if following else "\n"
         write(sep.join(chunk))
-        chunk = list(islice(parts, per_write))
-        write(sep if chunk else "\n")
+        chunk = following
 
 
 def _chain_text(pairs):
@@ -227,7 +228,10 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
         if tok == "--nmax":
             if i + 1 >= len(rest):
                 raise ValueError("--nmax needs a value")
-            n_max = int(rest[i + 1])
+            try:
+                n_max = int(rest[i + 1])
+            except ValueError:
+                raise ValueError(f"--nmax needs an integer, got {rest[i + 1]!r}") from None
             i += 2
             continue
         try:

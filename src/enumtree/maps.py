@@ -52,7 +52,6 @@ __all__ = [
     "relatives",
     "InverseTrace",
     "f_hat_inverse",
-    "f_hat_inverse_index",
     "int_tree_rows",
     "tree_rows",
 ]
@@ -138,16 +137,10 @@ class InverseTrace(Record):
         set_field(self, "index", index)
 
 
-def _reduce(f: EnumerablePoly, p: DivisorPair, chain: list | None = None) -> list[int]:
-    """Peel p, a pair of the tree of f, down to (1, 0): its exponents (see _peel)."""
-    if p.poly != f.poly:
-        raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
-    return _peel(f, p.m, p.n, f.poly(p.n) // p.m, chain)
-
-
 def _peel(f: EnumerablePoly, m: int, n: int, q: int, chain: list | None = None) -> list[int]:
-    """_reduce from (m, n) given its signed cofactor q = f(n) / m, carried from here on;
-    only if given a chain list, ending in (m, n), appends each further visited pair to it."""
+    """Peel (m, n), a pair of the tree of f, down to (1, 0): its exponents.  The signed
+    cofactor q = f(n) / m is given and carried from here on; only if given a chain
+    list, ending in (m, n), appends each further visited pair to it."""
     b = f.poly.coeffs[1]
     exponents: list[int] = []
     while n or m != 1:
@@ -192,8 +185,10 @@ def _index_from_exponents(exponents: list[int]) -> int:
 def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
     """Invert the tree map at p (a pair of the tree of f): word, index, and
     the full reduction chain."""
+    if p.poly != f.poly:
+        raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
     chain = [(p.m, p.n)]
-    exponents = _reduce(f, p, chain)
+    exponents = _peel(f, p.m, p.n, f.poly(p.n) // p.m, chain)
     # The chain pairs are p moved by s_bar_inv and c_bar: no check needed.
     return InverseTrace(
         exponents=tuple(exponents),
@@ -201,11 +196,6 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
         word=_word_from_exponents(exponents),
         index=_index_from_exponents(exponents),
     )
-
-
-def f_hat_inverse_index(f: EnumerablePoly, p: DivisorPair) -> int:
-    """f_hat_inverse(f, p).index, without building the word or the chain pairs."""
-    return _index_from_exponents(_reduce(f, p))
 
 
 def _int_rows(b: int, row: list[tuple[int, int]], cofs: list[int], depth: int):

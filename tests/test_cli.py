@@ -207,6 +207,11 @@ def test_scan_vanishing_exit(capsys):
     assert code == 4 and "vanishes at n = 1" in err
 
 
+def test_scan_names_a_non_integer_nmax(capsys):
+    code, out, err = run(capsys, "scan", "--", "1", "--nmax", "x")
+    assert (code, out, err) == (2, "", "error: --nmax needs an integer, got 'x'\n")
+
+
 def test_stats_text_and_json(capsys):
     code, out, _ = run(capsys, "stats", "phi0", "--kmax", "2")
     assert code == 0
@@ -452,6 +457,22 @@ def test_output_matches_golden_hash(capsys, command, name, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout SHA-256 of `scan -- <coefficients> --nmax <n>`, recorded from the CLI
+# that still built record __eq__/__hash__ with exec.
+GOLDEN_SCAN_SHA256 = [
+    (["1", "5", "1"], "60", "59a06e669684cdeeabb4ff3baf638e2edea9baaee45175daeea6d223c435cbd8"),
+    (["-1", "1", "1"], "40", "7c4703bdfb4710bf2cd954ede77bffe2316248fefe2815029e9b2ad3f69fc008"),
+    (["1", "0", "0", "1"], "30", "37d63d4ddbb6abb886b51b11eeaffe574d9f6e7b44884be9219abbfa477433dd"),
+]
+
+
+@pytest.mark.parametrize("coeffs, n_max, digest", GOLDEN_SCAN_SHA256)
+def test_scan_matches_golden_hash(capsys, coeffs, n_max, digest):
+    code, out, _ = run(capsys, "scan", "--", *coeffs, "--nmax", n_max)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # stdout SHA-256 of `stats` and `fiber`, recorded from the CLI that summed
 # every ratio n/m left to right and built the full inverse trace per divisor.
 GOLDEN_STATS_SHA256 = [
@@ -536,15 +557,17 @@ def test_inverse_of_the_root_matches_the_joined_str_oracle(capsys):
 
 
 class _HashingSink:
-    """A stdout that keeps only the SHA-256, the size and the largest write."""
+    """A stdout that keeps only the SHA-256, the size, the largest write and the
+    number of writes."""
 
     def __init__(self):
-        self.digest, self.size, self.largest = hashlib.sha256(), 0, 0
+        self.digest, self.size, self.largest, self.writes = hashlib.sha256(), 0, 0, 0
 
     def write(self, text):
         self.digest.update(text.encode())
         self.size += len(text)
         self.largest = max(self.largest, len(text))
+        self.writes += 1
         return len(text)
 
     def flush(self):
@@ -567,6 +590,15 @@ def test_inverse_output_memory_is_bounded(monkeypatch):
     assert sink.digest.hexdigest() == "df7473a6806d63a8705cf3b0b26ddcf7d1722a9f08c0ed40eca97e7442143337"
     assert peak < sink.size
     assert sink.largest <= 1 << 20
+
+
+def test_each_output_chunk_is_one_write(monkeypatch):
+    # 16,383 JSON lines in chunks of 4,096: the separators ride in the chunks
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["tree", "phi0", "--depth", "13"]) == 0
+    assert sink.digest.hexdigest() == GOLDEN_SHA256[0][3]
+    assert sink.writes == 4
 
 
 # stdout SHA-256 of `verify <suite>` at its default bound, recorded from the CLI

@@ -9,7 +9,6 @@ from enumtree.maps import (
     _peel,
     f_hat,
     f_hat_inverse,
-    f_hat_inverse_index,
     f_hat_via_action,
     int_tree_rows,
     phi_beta,
@@ -197,8 +196,6 @@ def test_inverse_second_example_chain():
 def test_inverse_rejects_foreign_pairs():
     with pytest.raises(ValueError):
         f_hat_inverse(PHI0, make_pair(3, 1, PHI1))
-    with pytest.raises(ValueError):
-        f_hat_inverse_index(PHI0, make_pair(3, 1, PHI1))
 
 
 @given(words, st.sampled_from(ENUMERABLE_POLYS))
@@ -206,7 +203,7 @@ def test_inverse_round_trip(w, f):
     a = word_to_matrix(w)
     trace = f_hat_inverse(f, f_hat(f, a))
     assert trace.word == matrix_to_word(a) == w
-    assert f_hat_inverse_index(f, f_hat(f, a)) == trace.index == word_to_index(w)
+    assert trace.index == word_to_index(w)
 
 
 @given(words, st.sampled_from(ENUMERABLE_POLYS))

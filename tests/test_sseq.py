@@ -139,6 +139,37 @@ def test_two_regular_branch_identities_exhaustive():
             assert s(4 * k + 3) == 2 * s(2 * k + 1) - s(k)
 
 
+# Paper property 4, 2-regularity: v(k) = (s(k), s(2k), s(2k+1), 1) goes to v(2k)
+# or v(2k+1) by a fixed affine 4x4 matrix per binary digit, with the tree's
+# constant in its last column; v(k) is the product over the digits of k after
+# a seeded head j, applied to v(j).  Per tree: constant, head length, seeds v(j).
+TWO_REGULAR_SEEDS = {
+    "phi0": (0, 1, {1: (0, 1, 1)}),
+    "phi1": (1, 1, {1: (0, 1, 1)}),
+    "psi2": (2, 2, {1: (0, 1, 1), 2: (1, 2, 3), 3: (1, 3, 2)}),
+    "phi3": (3, 1, {1: (0, 1, 1)}),
+}
+
+
+def _mat4_mul(x, y):
+    return tuple(tuple(sum(x[i][t] * y[t][j] for t in range(4)) for j in range(4)) for i in range(4))
+
+
+@given(st.sampled_from(ENUMERABLE_POLYS), st.integers(min_value=1, max_value=1 << 200))
+def test_s_value_is_the_digit_product_of_affine_matrices(f, k):
+    const, head, seeds = TWO_REGULAR_SEEDS[f.name]
+    digit_matrix = {
+        "0": ((0, 1, 0, 0), (-1, 2, 0, 0), (0, 2, 1, const), (0, 0, 0, 1)),
+        "1": ((0, 0, 1, 0), (0, 1, 2, const), (-1, 0, 2, 0), (0, 0, 0, 1)),
+    }
+    digits = bin(k)[2:]
+    product = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    for digit in digits[head:]:
+        product = _mat4_mul(digit_matrix[digit], product)
+    v = (*seeds[int(digits[:head], 2)], 1)
+    assert kernel_for(f).s_value(k) == sum(product[0][j] * v[j] for j in range(4))
+
+
 def test_kernel_parameters():
     assert kernel_for(PHI0).const == 0 and kernel_for(PHI0).start == 1
     assert kernel_for(PHI1).const == 1
