@@ -1,8 +1,9 @@
 """Frozen value records, without the start-up cost of importing dataclasses.
 
-A record's fields are its __slots__, which its own __init__ fills with
-set_field.  _fields() reads them in order, and equality, hashing, repr and
-pickling all go by it; a subclass may put identity back for __eq__/__hash__.
+A record's fields are its __slots__, filled in order by set_field: a record
+without checks inherits Record.__init__ for that, one with checks writes its own.
+_fields() reads them in order, and equality, hashing, repr and pickling all go
+by it; a subclass may put identity back for __eq__/__hash__.
 """
 
 set_field = object.__setattr__
@@ -16,6 +17,14 @@ def _frozen(message: str):
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        given = dict(zip(names, args), **kwargs)  # extra or repeated args vanish here
+        if len(given) != len(args) + len(kwargs) or given.keys() != set(names):
+            raise TypeError(f"{self.__class__.__qualname__}() takes each of {names} once")
+        for name in names:
+            set_field(self, name, given[name])
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, k) for k in self.__slots__)

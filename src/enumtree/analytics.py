@@ -22,7 +22,7 @@ equal-valued adjacent factors are deliberately left uncancelled.
 from math import gcd
 from typing import TYPE_CHECKING
 
-from ._record import Record, set_field
+from ._record import Record
 from .arith import is_prime, primes_up_to, sqrt_mod
 from .maps import DEFAULT_NODE_BUDGET, f_hat_inverse, int_tree_rows
 from .pairs import BadPair, EnumerablePoly, make_pair
@@ -47,12 +47,6 @@ class RowStats(Record):
     """Exact sums over one tree row: first components, second components, n/m."""
 
     __slots__ = ("k", "m_sum", "n_sum", "ratio_sum")
-
-    def __init__(self, k: int, m_sum: int, n_sum: int, ratio_sum: "Fraction") -> None:
-        set_field(self, "k", k)
-        set_field(self, "m_sum", m_sum)
-        set_field(self, "n_sum", n_sum)
-        set_field(self, "ratio_sum", ratio_sum)
 
 
 def row_stats(k: int, row: list[tuple[int, int]]) -> RowStats:
@@ -131,14 +125,6 @@ class PrimeRepresentation(Record):
     """
 
     __slots__ = ("p", "f", "n_values", "exponents")
-
-    def __init__(
-        self, p: int, f: EnumerablePoly, n_values: tuple[int, ...], exponents: tuple[int, ...]
-    ) -> None:
-        set_field(self, "p", p)
-        set_field(self, "f", f)
-        set_field(self, "n_values", n_values)
-        set_field(self, "exponents", exponents)
 
     def factors(self) -> list[tuple[int, int]]:
         """(|f(n)|, exponent) pairs aligned with n_values."""

@@ -20,7 +20,7 @@ outright: pick a with |f(-a)| > 3a and 2 f(n) > 3 n^2 for all n > 2a; then
 n0 = |f(-a)| - a gives f(n0) = (n0 + a)(n0 + b) with both factors above n0.
 """
 
-from ._record import Record, set_field
+from ._record import Record
 from .arith import divisors
 from .pairs import BadPair, Poly, PolyLike, as_poly, poly
 
@@ -49,16 +49,9 @@ class PolynomialVanishes(ValueError):
 
 
 class ViolationCertificate(Record):
-    """One pair breaking the reachability inequality, with the failed instance."""
+    """One pair breaking the reachability inequality on side LEFT or RIGHT; detail shows how."""
 
     __slots__ = ("f", "m", "n", "side", "detail")
-
-    def __init__(self, f: Poly, m: int, n: int, side: str, detail: str) -> None:
-        set_field(self, "f", f)
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "side", side)  # LEFT or RIGHT
-        set_field(self, "detail", detail)
 
 
 def check_condition(f: PolyLike, m: int, n: int) -> ViolationCertificate | None:
@@ -74,7 +67,10 @@ def check_condition(f: PolyLike, m: int, n: int) -> ViolationCertificate | None:
         raise BadPair(f"({m}, {n}) is not a divisor pair of f = {f}")
     if (m, n) == (1, 0):
         raise ValueError("the root pair (1, 0) is excluded from the condition")
-    cof = abs(value) // m
+    return _violation(f, m, n, abs(value) // m)
+
+
+def _violation(f: Poly, m: int, n: int, cof: int) -> ViolationCertificate | None:
     lo, hi = min(m, cof), max(m, cof)
     if lo > n:
         return ViolationCertificate(
@@ -98,13 +94,13 @@ def scan_violations(f: PolyLike, n_max: int) -> list[ViolationCertificate]:
     f = as_poly(f)
     out: list[ViolationCertificate] = []
     for n in range(n_max + 1):
-        value = f(n)
+        value = abs(f(n))
         if value == 0:
             raise PolynomialVanishes(f, n)
-        for m in divisors(abs(value)):
+        for m in divisors(value):
             if (m, n) == (1, 0):
                 continue
-            cert = check_condition(f, m, n)
+            cert = _violation(f, m, n, value // m)
             if cert is not None:
                 out.append(cert)
     return out

@@ -430,6 +430,8 @@ def _cmd_verify(args) -> int:
     import json
     runner, default_bound = _SUITES[args.suite]
     bound = args.bound if args.bound is not None else default_bound
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     checked, failures = runner(bound)
     summary = {
         "suite": args.suite,

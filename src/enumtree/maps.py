@@ -27,7 +27,7 @@ a diagnostic instead of cycling.
 
 from typing import Iterator
 
-from ._record import Record, set_field
+from ._record import Record
 from .monoid import Mat2, matrix_to_word
 from .pairs import (
     ENUMERABLE_POLYS,
@@ -127,14 +127,6 @@ class InverseTrace(Record):
     """
 
     __slots__ = ("exponents", "pairs", "word", "index")
-
-    def __init__(
-        self, exponents: tuple[int, ...], pairs: tuple[DivisorPair, ...], word: str, index: int
-    ) -> None:
-        set_field(self, "exponents", exponents)
-        set_field(self, "pairs", pairs)
-        set_field(self, "word", word)
-        set_field(self, "index", index)
 
 
 def _peel(f: EnumerablePoly, m: int, n: int, q: int, chain: list | None = None) -> list[int]:

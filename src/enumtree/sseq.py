@@ -39,7 +39,7 @@ reduced there.
 
 from typing import Iterator
 
-from ._record import Record, set_field
+from ._record import Record
 from .arith import divisors
 from .maps import DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
 from .monoid import mirror_index
@@ -62,19 +62,14 @@ R_MATRIX: Mat3 = ((0, 0, 1), (0, 1, 2), (-1, 0, 2))
 
 
 class SSeqKernel(Record):
-    """Recursion kernel of one tree's second-component sequence."""
+    """Recursion kernel of one tree's second-component sequence.
+
+    The recursion holds for k >= start; initial holds the seeds s(1) .. s(4*start - 1).
+    """
 
     __slots__ = ("poly", "const", "start", "initial")
     __eq__ = object.__eq__  # kernels compare and hash by identity
     __hash__ = object.__hash__
-
-    def __init__(
-        self, poly: EnumerablePoly, const: int, start: int, initial: dict[int, int]
-    ) -> None:
-        set_field(self, "poly", poly)
-        set_field(self, "const", const)
-        set_field(self, "start", start)  # recursion valid for k >= start
-        set_field(self, "initial", initial)  # seeds s(1) .. s(4*start - 1)
 
     def _triple(self, k: int) -> Vec3:
         """(s(k), s(2k), s(2k+1)) by the digit walk from k's seed node."""

@@ -105,3 +105,23 @@ def replay_n_values(c0: int, c1: int, p: int, n: int) -> list[int]:
 def quadratic_roots_scan(c0: int, c1: int, p: int) -> list[int]:
     """All n in [0, p) with n^2 + c1*n + c0 == 0 mod p, by direct scan."""
     return [n for n in range(p) if (n * n + c1 * n + c0) % p == 0]
+
+
+def row_sums_by_representation(
+    abc: tuple[int, int, int], nodes: int, beta: int, rows: int
+) -> list[tuple[int, int]]:
+    """Row sums (M_r, N_r) of m and n over `rows` tree rows, from one row's triple sums.
+
+    abc is (A, B, C), the sums of (s(k), s(2k), s(2k+1)) over the `nodes`
+    indices k of the first row; node k is the pair (s(2k) - s(k), s(k)), so
+    M_r = B - A and N_r = A.  Summing the four branches s(4k) = 2s(2k) - s(k),
+    s(4k+1) = 2s(2k) + s(2k+1) + beta, s(4k+2) = 2s(2k+1) + s(2k) + beta and
+    s(4k+3) = 2s(2k+1) - s(k) over a row gives the next row's (A, B, C).
+    """
+    a, b, c = abc
+    out = []
+    for _ in range(rows):
+        out.append((b - a, a))
+        a, b, c = b + c, 3 * b + 2 * c - a + beta * nodes, 2 * b + 3 * c - a + beta * nodes
+        nodes *= 2
+    return out

@@ -9,7 +9,7 @@ from enumtree.classify import (
     injectivity_surjectivity_report,
     scan_violations,
 )
-from enumtree.pairs import ENUMERABLE_POLYS, PHI0, poly
+from enumtree.pairs import ENUMERABLE_POLYS, PHI0, Poly, poly
 from oracles import trial_divisors, trial_is_prime
 
 
@@ -73,6 +73,22 @@ def test_scan_is_ordered_and_complete():
         if min(m, cof) > 2 or 2 >= max(m, cof):
             expected.append(m)
     assert [c.m for c in certs if c.n == 2] == expected
+
+
+@pytest.mark.parametrize("n_max", [10, 60])
+def test_scan_evaluates_f_once_per_n_and_agrees_with_check_condition(monkeypatch, n_max):
+    f = poly(1, 5, 1)
+    expected = [
+        cert
+        for n in range(n_max + 1)
+        for m in trial_divisors(abs(f(n)))
+        if (m, n) != (1, 0) and (cert := check_condition(f, m, n)) is not None
+    ]
+    seen = []
+    evaluate = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda g, n: seen.append(n) or evaluate(g, n))
+    assert scan_violations(f, n_max) == expected
+    assert seen == list(range(n_max + 1))
 
 
 def test_scan_same_for_negated_polynomial():

@@ -374,6 +374,12 @@ def test_verify_suites_pass(capsys):
         assert summary["checked"] > 0
 
 
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+def test_verify_refuses_a_negative_bound_in_every_suite(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--bound", "-1")
+    assert (code, out, err) == (2, "", "error: bound must be >= 0, got -1\n")
+
+
 def test_outputs_are_deterministic(capsys):
     a = run(capsys, "tree", "phi1", "--depth", "5")
     b = run(capsys, "tree", "phi1", "--depth", "5")

@@ -127,6 +127,31 @@ def test_records_survive_pickle_and_copy(make):
         assert b == a or isinstance(a, SSeqKernel)
 
 
+@pytest.mark.parametrize("make", ALL_RECORDS)
+def test_records_built_by_position_equal_those_built_by_keyword(make):
+    a = make()
+    names = a.__slots__
+    fields = [getattr(a, k) for k in names]
+    for b in (type(a)(*fields), type(a)(fields[0], **dict(zip(names[1:], fields[1:])))):
+        assert [getattr(b, k) for k in names] == fields
+        assert b == a or isinstance(a, SSeqKernel)
+
+
+@pytest.mark.parametrize("make", ALL_RECORDS)
+def test_records_refuse_missing_unknown_extra_and_repeated_fields(make):
+    a = make()
+    names = a.__slots__
+    fields = [getattr(a, k) for k in names]
+    for args, kwargs in [
+        (fields[:-1], {}),  # a field missing
+        (fields, {"extra": 1}),  # an unknown field
+        (fields + fields[:1], {}),  # too many positional arguments
+        (fields, {names[0]: fields[0]}),  # a field by position and by keyword
+    ]:
+        with pytest.raises(TypeError):
+            type(a)(*args, **kwargs)
+
+
 def test_cli_import_skips_unused_standard_modules():
     # -S: no site hooks, so whatever is loaded was loaded by enumtree.
     unused = ("dataclasses", "inspect", "fractions", "decimal", "json")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumtree.arith import divisors
-from enumtree.maps import NodeBudgetExceeded, f_hat, f_hat_inverse, tree_rows
+from enumtree.maps import NodeBudgetExceeded, f_hat, f_hat_inverse, int_tree_rows, tree_rows
 from enumtree.monoid import index_to_word, word_to_matrix
 from enumtree.pairs import (
     ENUMERABLE_POLYS,
@@ -28,7 +28,7 @@ from enumtree.sseq import (
     net_expand,
     vector_tree_rows,
 )
-from oracles import trial_divisors, trial_is_prime, trial_tau
+from oracles import row_sums_by_representation, trial_divisors, trial_is_prime, trial_tau
 
 ABSTRACT_PREFIX = [0, 1, 1, 2, 3, 3, 2, 3, 7, 8, 5, 5, 8, 7, 3]
 
@@ -168,6 +168,31 @@ def test_s_value_is_the_digit_product_of_affine_matrices(f, k):
         product = _mat4_mul(digit_matrix[digit], product)
     v = (*seeds[int(digits[:head], 2)], 1)
     assert kernel_for(f).s_value(k) == sum(product[0][j] * v[j] for j in range(4))
+
+
+# Paper property 4 on whole rows: per tree, its constant beta and the sums
+# (A, B, C) of (s(k), s(2k), s(2k+1)) over row 2 (k = 4..7, past psi2's seeds).
+ROW2_TRIPLE_SUMS = {
+    "phi0": (0, (10, 23, 23)),
+    "phi1": (1, (12, 30, 30)),
+    "psi2": (2, (10, 27, 27)),
+    "phi3": (3, (16, 44, 44)),
+}
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_row_sums_follow_the_linear_representation(f):
+    depth = 16
+    beta, abc = ROW2_TRIPLE_SUMS[f.name]
+    oracle = row_sums_by_representation(abc, 4, beta, depth - 1)
+    rows = list(int_tree_rows(f, depth))[2:]
+    tree = [(sum(m for m, _ in row), sum(n for _, n in row)) for row in rows]
+    s = [0, *kernel_for(f).s_prefix(1 << (depth + 2))]  # s[k] is s(k)
+    prefix = [
+        (sum(s[2 * k] - s[k] for k in range(1 << r, 2 << r)), sum(s[1 << r : 2 << r]))
+        for r in range(2, depth + 1)
+    ]
+    assert oracle == tree == prefix
 
 
 def test_kernel_parameters():
