@@ -23,6 +23,9 @@ All output is deterministic; integers above 2^53 - 1 are serialized as
 decimal strings in JSON so double-parsing consumers keep exact values.
 tree, seq, inverse and fiber write their output in bounded chunks, never as one
 string: a 4,000-letter inverse (5.7 MB of chain) peaks at 2.2 MB traced, not 22 MB.
+tree --format text also streams its rows from the integer tree in bounded blocks
+(maps._streamed_rows): depth 18 peaks at about 4 MB traced, not 47 MB; only
+--format json walks the DivisorPair moves of maps.tree_rows.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
 ENUMTREE_MAX_NODES environment variable (the flag wins).
 """
@@ -38,6 +41,7 @@ from .arith import FactorLimitExceeded, divisors, is_prime
 from .maps import (
     DEFAULT_NODE_BUDGET,
     NodeBudgetExceeded,
+    _streamed_rows,
     check_tree_size,
     f_hat_inverse,
     int_tree_rows,
@@ -139,17 +143,18 @@ def _rows_within_budget(f, depth: int, budget: int):
 
 
 def _cmd_tree(args) -> int:
-    rows = tree_rows(POLY_BY_NAME[args.poly], args.depth, _resolve_budget(args))
+    f, budget = POLY_BY_NAME[args.poly], _resolve_budget(args)
     if args.format == "text":
-        for row_idx, row in enumerate(rows):
+        check_tree_size(args.depth, budget)
+        for row_idx, row in enumerate(_streamed_rows(f, args.depth)):
             sys.stdout.write("  " * row_idx)
-            _write_joined((f"({p.m}, {p.n})" for p in row), "  ")
+            _write_joined((f"({m}, {n})" for m, n in row), "  ")
     else:
         # Words are recovered from the heap index: cheap and avoids
         # threading them through generation.
         _write_joined(
             _record_line(index, p.m, p.n, index_to_word(index), row_idx)
-            for row_idx, row in enumerate(rows)
+            for row_idx, row in enumerate(tree_rows(f, args.depth, budget))
             for index, p in enumerate(row, 1 << row_idx)
         )
     return EXIT_OK
@@ -297,15 +302,15 @@ def _suite_bijectivity(bound: int):
                 seen.add(pair)
                 checked += 1
         for n in range(1, bound + 1):
-            indices = set()
-            for m in divisors(abs(f.poly(n))):
+            value, indices = abs(f.poly(n)), set()
+            for m in divisors(value):
                 trace = f_hat_inverse(f, make_pair(m, n, f))
                 indices.add(trace.index)
                 back = trace.pairs[0]
                 if back.components() != (m, n):
                     failures.append(f"{f}: trace of ({m}, {n}) starts at {back}")
                 checked += 1
-            if len(indices) != _tau_trial(abs(f.poly(n))):
+            if len(indices) != _tau_trial(value):
                 failures.append(f"{f}: fiber of {n} has colliding indices")
     return checked, failures
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
 from enumtree.maps import f_hat, f_hat_inverse
 from enumtree.monoid import index_to_word, word_to_matrix
-from enumtree.pairs import POLY_BY_NAME, Poly, make_pair
+from enumtree.pairs import ENUMERABLE_POLYS, POLY_BY_NAME, Poly, make_pair
+from oracles import trial_tau
 
 
 def run(capsys, *argv):
@@ -380,6 +382,21 @@ def test_verify_refuses_a_negative_bound_in_every_suite(capsys, suite):
     assert (code, out, err) == (2, "", "error: bound must be >= 0, got -1\n")
 
 
+def test_bijectivity_suite_evaluates_f_once_per_n_besides_the_pair_checks(monkeypatch):
+    # f(0) once per tree for its rows; per n, one f(n) for the divisors and the
+    # trial count, then the own checks of make_pair and f_hat_inverse per divisor
+    bound = 20
+    expected = Counter({0: len(ENUMERABLE_POLYS)})
+    for f in ENUMERABLE_POLYS:
+        for n in range(1, bound + 1):
+            expected[n] += 1 + 2 * trial_tau(abs(f.poly(n)))
+    seen = []
+    evaluate = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda g, n: seen.append(n) or evaluate(g, n))
+    assert _SUITES["bijectivity"][0](bound)[1] == []
+    assert Counter(seen) == expected
+
+
 def test_outputs_are_deterministic(capsys):
     a = run(capsys, "tree", "phi1", "--depth", "5")
     b = run(capsys, "tree", "phi1", "--depth", "5")
@@ -605,6 +622,40 @@ def test_each_output_chunk_is_one_write(monkeypatch):
     assert main(["tree", "phi0", "--depth", "13"]) == 0
     assert sink.digest.hexdigest() == GOLDEN_SHA256[0][3]
     assert sink.writes == 4
+
+
+# stdout SHA-256 of `tree <poly> --depth 17 --format text`, recorded from the CLI
+# that walked the DivisorPair moves; rows 15..17 are deeper than one block.
+GOLDEN_DEEP_TEXT_TREE_SHA256 = [
+    ("phi0", "1f12d341d5c96e38d9beff71b8efeadd13bf7a0b9ce0bb6b71fe2547710ba48c"),
+    ("phi1", "007a6576e3f0d108d98caf37d9c27d77acb5206d013cbd658e49ae6d96372f93"),
+    ("psi2", "a9e5ae21b926f28e7df7cc6037d86b0224f5156dced7ef33cceca0be9e7e0686"),
+    ("phi3", "4a991ec5a31ab14df9a60c82f7a13d937f166c946c34658d07ce6d8fc1611aa3"),
+]
+
+
+@pytest.mark.parametrize("name, digest", GOLDEN_DEEP_TEXT_TREE_SHA256)
+def test_deep_text_tree_matches_golden_hash(monkeypatch, name, digest):
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["tree", name, "--depth", "17", "--format", "text"]) == 0
+    assert sink.digest.hexdigest() == digest
+
+
+def test_text_tree_memory_is_bounded(monkeypatch):
+    # 2^19 - 1 nodes, 9.5 MB of text; the digest was recorded from the CLI that
+    # walked the DivisorPair moves a whole row at a time (46.6 MB traced peak)
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["tree", "phi0", "--depth", "18", "--format", "text"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size == 9_481_181
+    assert sink.digest.hexdigest() == "ff57569475eafe4bd364bb02f8920eeccb953c2d3b01e8744993bfa37ae10c56"
+    assert peak < 8_000_000
 
 
 # stdout SHA-256 of `verify <suite>` at its default bound, recorded from the CLI

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enumtree import maps
 from enumtree.maps import (
     NodeBudgetExceeded,
     _peel,
+    _streamed_rows,
     f_hat,
     f_hat_inverse,
     f_hat_via_action,
@@ -266,6 +268,17 @@ def test_int_tree_rows_are_the_tree_rows_components():
         int_tree_rows(PHI0, 10, max_nodes=100)
     with pytest.raises(ValueError):
         int_tree_rows(PHI0, -1)
+
+
+@pytest.mark.parametrize("block", [0, 1, 3, maps._BLOCK_DEPTH])
+@pytest.mark.parametrize("depth", [0, 2, 13])
+def test_streamed_rows_are_the_int_tree_rows(monkeypatch, block, depth):
+    # rows deeper than the block depth are built again below the nodes of an
+    # upper row; psi2's root cofactor is -1
+    monkeypatch.setattr(maps, "_BLOCK_DEPTH", block)
+    for f in ENUMERABLE_POLYS:
+        streamed = [list(row) for row in _streamed_rows(f, depth)]
+        assert streamed == list(int_tree_rows(f, depth))
 
 
 def test_boundary_law():
