@@ -27,7 +27,9 @@ tree --format text also streams its rows from the integer tree in bounded blocks
 (maps._streamed_rows): depth 18 peaks at about 4 MB traced, not 47 MB; only
 --format json walks the DivisorPair moves of maps.tree_rows.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
-ENUMTREE_MAX_NODES environment variable (the flag wins).
+ENUMTREE_MAX_NODES environment variable (the flag wins).  tree, stats and
+verify rowsums check their depth against it once, by maps.check_tree_size,
+before any row: a negative or oversized depth exits 2 with empty stdout.
 """
 
 import argparse
@@ -126,15 +128,6 @@ def _resolve_budget(args) -> int:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {raw!r}")
     return value
-
-
-def _rows_within_budget(f, depth: int, budget: int):
-    """Rows 0..depth of f as (m, n) tuples, one walk; the rows that fit the
-    budget come out before the first one that does not is refused."""
-    fits = min(depth, (max(budget, 0) + 1).bit_length() - 2)
-    yield from int_tree_rows(f, fits, budget) if fits >= 0 else ()
-    if fits < depth:
-        check_tree_size(fits + 1, budget)
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +230,8 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
                 n_max = int(rest[i + 1])
             except ValueError:
                 raise ValueError(f"--nmax needs an integer, got {rest[i + 1]!r}") from None
+            if n_max < 0:
+                raise ValueError(f"--nmax must be >= 0, got {n_max}")
             i += 2
             continue
         try:
@@ -250,7 +245,7 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
 
 
 def _cmd_stats(args) -> int:
-    rows = _rows_within_budget(POLY_BY_NAME[args.poly], args.kmax, _resolve_budget(args))
+    rows = int_tree_rows(POLY_BY_NAME[args.poly], args.kmax, _resolve_budget(args))
     for k, row in enumerate(rows):
         st = analytics.row_stats(k, row)
         if args.format == "json":
@@ -370,7 +365,7 @@ def _suite_recursions(bound: int):
 def _suite_rowsums(bound: int):
     from fractions import Fraction
     checked, failures = 0, []
-    for k, row in enumerate(_rows_within_budget(PHI0, bound, DEFAULT_NODE_BUDGET)):
+    for k, row in enumerate(int_tree_rows(PHI0, bound)):
         direct = analytics.row_stats(k, row)
         rec = analytics.row_stats_recursive(k)
         if direct != rec:

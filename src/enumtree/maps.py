@@ -17,18 +17,17 @@ The inverse direction peels a pair back to (1, 0): repeat
 
 recording the exponents.  Undoing those steps and merging complement pairs
 into t_bar moves yields the generator word, hence the matrix and tree index.
-The loop additionally checks, at every visited pair, the inequality
-
-    min(m, |f(n)|/m)  <=  n  <  max(m, |f(n)|/m)
-
-which characterizes reachability from the root; on a violation it aborts with
-a diagnostic instead of cycling.
+The loop additionally checks, at every visited pair, the reachability
+inequality min(m, |f(n)|/m) <= n < max(m, |f(n)|/m), written once in
+classify (_violation); on a violation it aborts with a diagnostic instead of
+cycling.
 """
 
 from typing import Iterator
 
 from ._record import Record
-from .monoid import Mat2, matrix_to_word
+from .classify import LEFT, _violation
+from .monoid import Mat2, matrix_to_word, word_to_index
 from .pairs import (
     ENUMERABLE_POLYS,
     BadPair,
@@ -139,10 +138,9 @@ def _peel(f: EnumerablePoly, m: int, n: int, q: int, chain: list | None = None) 
     b = f.poly.coeffs[1]
     exponents: list[int] = []
     while n or m != 1:
-        cof = abs(q)
-        lo, hi = min(m, cof), max(m, cof)
-        if not (lo <= n < hi):
-            side = "min" if lo > n else "max"
+        cert = _violation(f.poly, m, n, abs(q))
+        if cert is not None:
+            side = "min" if cert.side == LEFT else "max"
             raise ArithmeticError(
                 f"pair ({m}, {n}) of f = {f.poly} violates the reachability bound"
                 f" ({side} side); it cannot be reduced to the root"
@@ -166,7 +164,8 @@ def _word_from_exponents(exponents: list[int]) -> str:
 
 
 def _index_from_exponents(exponents: list[int]) -> int:
-    # Same value as word_to_index of the word above, in O(#blocks) big-int ops.
+    # word_to_index of the word above, kept for sseq.fiber, which builds no word:
+    # one shift per block, each O(bits of k), costs less than building the word.
     k = 1
     for i in range(len(exponents) - 1, -1, -1):
         a = exponents[i]
@@ -184,12 +183,13 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
         raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
     chain = [(p.m, p.n)]
     exponents = _peel(f, p.m, p.n, f.poly(p.n) // p.m, chain)
+    word = _word_from_exponents(exponents)
     # The chain pairs are p moved by s_bar_inv and c_bar: no check needed.
     return InverseTrace(
         exponents=tuple(exponents),
         pairs=tuple(_moved(m, n, f.poly) for m, n in chain),
-        word=_word_from_exponents(exponents),
-        index=_index_from_exponents(exponents),
+        word=word,
+        index=word_to_index(word),
     )
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumtree
-from enumtree import arith, cli, sseq
+from enumtree import arith, cli, maps, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
 from enumtree.maps import f_hat, f_hat_inverse
@@ -214,6 +214,11 @@ def test_scan_names_a_non_integer_nmax(capsys):
     assert (code, out, err) == (2, "", "error: --nmax needs an integer, got 'x'\n")
 
 
+def test_scan_refuses_a_negative_nmax(capsys):
+    code, out, err = run(capsys, "scan", "--", "1", "5", "1", "--nmax", "-1")
+    assert (code, out, err) == (2, "", "error: --nmax must be >= 0, got -1\n")
+
+
 def test_stats_text_and_json(capsys):
     code, out, _ = run(capsys, "stats", "phi0", "--kmax", "2")
     assert code == 0
@@ -227,12 +232,26 @@ def test_stats_text_and_json(capsys):
     assert recs[1] == {"k": 1, "m_sum": 3, "n_sum": 2, "ratio_sum": "3/2"}
 
 
-def test_stats_prints_rows_within_budget_before_refusing(capsys):
+def _no_row_walks(monkeypatch):
+    def walk(*args):
+        raise AssertionError("a tree row was walked")
+
+    monkeypatch.setattr(maps, "_int_rows", walk)
+
+
+def test_stats_refuses_before_any_row(capsys, monkeypatch):
+    _no_row_walks(monkeypatch)
     code, out, err = run(capsys, "stats", "phi0", "--kmax", "5", "--max-nodes", "20")
-    assert code == 2 and "depth 4 needs 31 nodes" in err
-    assert [line.split()[0] for line in out.splitlines()] == ["k=0", "k=1", "k=2", "k=3"]
-    code, out, _ = run(capsys, "stats", "phi0", "--kmax", "-1")
-    assert code == 0 and out == ""
+    assert (code, out, err) == (2, "", "error: depth 5 needs 63 nodes, budget is 20\n")
+    code, out, err = run(capsys, "stats", "phi0", "--kmax", "-1")
+    assert (code, out, err) == (2, "", "error: depth must be >= 0, got -1\n")
+
+
+def test_verify_rowsums_refuses_an_oversized_bound_before_any_row(capsys, monkeypatch):
+    _no_row_walks(monkeypatch)
+    code, out, err = run(capsys, "verify", "rowsums", "--bound", "21")
+    assert (code, out) == (2, "")
+    assert err == "error: depth 21 needs 4194303 nodes, budget is 2097152\n"
 
 
 @pytest.mark.parametrize(
