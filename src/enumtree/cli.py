@@ -25,7 +25,10 @@ tree, seq, inverse and fiber write their output in bounded chunks, never as one
 string: a 4,000-letter inverse (5.7 MB of chain) peaks at 2.2 MB traced, not 22 MB.
 tree --format text also streams its rows from the integer tree in bounded blocks
 (maps._streamed_rows): depth 18 peaks at about 4 MB traced, not 47 MB; only
---format json walks the DivisorPair moves of maps.tree_rows.
+--format json walks the DivisorPair moves of maps.tree_rows.  seq streams s in
+blocks too (SSeqKernel._blocks): seq phi0 --count 262144 peaks at 2.9 MB traced
+as a b-file and 3.2 MB as json, not 13.0 and 25.7 MB.  JSON trees and sequences
+share one block formatter, _json_lines.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
 ENUMTREE_MAX_NODES environment variable (the flag wins).  tree, stats and
 verify rowsums check their depth against it once, by maps.check_tree_size,
@@ -35,8 +38,9 @@ before any row: a negative or oversized depth exits 2 with empty stdout.
 import argparse
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, count, islice
 from math import isqrt
+from operator import sub
 
 from . import analytics, classify
 from .arith import FactorLimitExceeded, divisors, is_prime
@@ -85,11 +89,14 @@ def _json_int(v: int) -> str:
     return str(v) if -_SAFE_INT <= v <= _SAFE_INT else f'"{v}"'
 
 
-def _record_line(index: int, m: int, n: int, word: str, row: int) -> str:
-    return (
-        f'{{"index":{_json_int(index)},"m":{_json_int(m)},"n":{_json_int(n)},'
-        f'"word":"{word}","row":{row}}}'
-    )
+def _json_lines(row: int, first: int, ms, ns):
+    """JSON lines of the nodes first, first + 1, ... of one tree row, with components
+    ms and ns (nonnegative); only a line with a value past 2^53 - 1 calls _json_int."""
+    for index, m, n in zip(count(first), ms, ns):
+        word = index_to_word(index)
+        if index > _SAFE_INT or m > _SAFE_INT or n > _SAFE_INT:
+            index, m, n = _json_int(index), _json_int(m), _json_int(n)
+        yield f'{{"index":{index},"m":{m},"n":{n},"word":"{word}","row":{row}}}'
 
 
 def _write_joined(parts, sep: str = "\n", per_write: int = _CHUNK_LINES) -> None:
@@ -145,11 +152,10 @@ def _cmd_tree(args) -> int:
     else:
         # Words are recovered from the heap index: cheap and avoids
         # threading them through generation.
-        _write_joined(
-            _record_line(index, p.m, p.n, index_to_word(index), row_idx)
+        _write_joined(chain.from_iterable(
+            _json_lines(row_idx, 1 << row_idx, [p.m for p in row], [p.n for p in row])
             for row_idx, row in enumerate(tree_rows(f, args.depth, budget))
-            for index, p in enumerate(row, 1 << row_idx)
-        )
+        ))
     return EXIT_OK
 
 
@@ -157,16 +163,15 @@ def _cmd_seq(args) -> int:
     f = POLY_BY_NAME[args.poly]
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
-    kernel = kernel_for(f)
+    blocks = kernel_for(f)._blocks(args.count, args.format == "json")
     if args.format == "bfile":
-        values = kernel.s_prefix(args.count)
-        _write_joined(f"{k} {v}" for k, v in enumerate(values, start=1))
-    else:
-        s = kernel.s_prefix(2 * args.count + 1)  # s[k - 1] is s(k)
-        _write_joined(
-            _record_line(k, s[2 * k - 1] - s[k - 1], s[k - 1], index_to_word(k), k.bit_length() - 1)
-            for k in range(1, args.count + 1)
+        lines = ((f"{k} {v}" for k, v in enumerate(ns, first)) for first, ns in blocks)
+    else:  # node k is the pair (s(2k) - s(k), s(k))
+        lines = (
+            _json_lines(first.bit_length() - 1, first, map(sub, s2, ns), ns)
+            for first, ns, s2 in blocks
         )
+    _write_joined(chain.from_iterable(lines))
     return EXIT_OK
 
 
@@ -245,8 +250,9 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
 
 
 def _cmd_stats(args) -> int:
-    rows = int_tree_rows(POLY_BY_NAME[args.poly], args.kmax, _resolve_budget(args))
-    for k, row in enumerate(rows):
+    budget = _resolve_budget(args)
+    check_tree_size(args.kmax, budget, "kmax")
+    for k, row in enumerate(int_tree_rows(POLY_BY_NAME[args.poly], args.kmax, budget)):
         st = analytics.row_stats(k, row)
         if args.format == "json":
             print(
@@ -339,6 +345,7 @@ def _suite_primality(bound: int):
 def _suite_recursions(bound: int):
     checked, failures = 0, []
     depth = bound
+    check_tree_size(depth, DEFAULT_NODE_BUDGET, "bound")
     for f in ENUMERABLE_POLYS:
         kernel = kernel_for(f)
         flat = [pair for row in int_tree_rows(f, depth) for pair in row]
@@ -365,6 +372,7 @@ def _suite_recursions(bound: int):
 def _suite_rowsums(bound: int):
     from fractions import Fraction
     checked, failures = 0, []
+    check_tree_size(bound, DEFAULT_NODE_BUDGET, "bound")
     for k, row in enumerate(int_tree_rows(PHI0, bound)):
         direct = analytics.row_stats(k, row)
         rec = analytics.row_stats_recursive(k)

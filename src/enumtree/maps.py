@@ -65,13 +65,13 @@ class NodeBudgetExceeded(RuntimeError):
     """Tree generation was asked for more nodes than the configured budget."""
 
 
-def check_tree_size(depth: int, max_nodes: int) -> None:
-    """Refuse a negative depth, or rows 0..depth beyond max_nodes in total."""
+def check_tree_size(depth: int, max_nodes: int, name: str = "depth") -> None:
+    """Refuse a negative depth, or rows 0..depth beyond max_nodes in total, by its name."""
     if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+        raise ValueError(f"{name} must be >= 0, got {depth}")
     total = (1 << (depth + 1)) - 1
     if total > max_nodes:
-        raise NodeBudgetExceeded(f"depth {depth} needs {total} nodes, budget is {max_nodes}")
+        raise NodeBudgetExceeded(f"{name} {depth} needs {total} nodes, budget is {max_nodes}")
 
 
 def phi_beta(beta: int, x: Mat2) -> DivisorPair:

@@ -37,11 +37,12 @@ even indices.  At n = 0 the root (1, 0) is no min side, so every divisor is
 reduced there.
 """
 
+from itertools import islice
 from typing import Iterator
 
 from ._record import Record
 from .arith import divisors
-from .maps import DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
+from .maps import _BLOCK_DEPTH, DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
 from .monoid import mirror_index
 from .pairs import DivisorPair, EnumerablePoly, make_pair
 
@@ -89,15 +90,50 @@ class SSeqKernel(Record):
         """s(k) by the digit walk; O(bits of k) time, O(1) memory."""
         return self._triple(k)[0]
 
+    def _fill(self, stop: int, top: Vec3 | None = None) -> list[int]:
+        """s in heap order by net_expand, to slot stop or up to 3 past it: slot k holds s(k);
+        from top = _triple(j), j >= start, level d holds s(j * 2**d), s(j * 2**d + 1), ...."""
+        if top is None:
+            first, vals = self.start, [0] + [self.initial[j] for j in range(1, 4 * self.start)]
+        else:
+            first, vals = 1, [0, *top]
+        const, kids = self.const, islice(vals, 2 * first, None)
+        # vals grows as it is read: slots k, 2k and 2k + 1 expand to slots 4k .. 4k + 3
+        for _, a, b, c in zip(range(first, stop // 4 + 1), islice(vals, first, None), kids, kids):
+            vals += net_expand(a, b, c, const)
+        return vals
+
     def s_prefix(self, count: int) -> list[int]:
         """[s(1), ..., s(count)] by a bottom-up fill; matches s_value pointwise."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        const = self.const
-        vals = [0] + [self.initial[j] for j in range(1, 4 * self.start)]
-        for k in range(self.start, count // 4 + 1):
-            vals += net_expand(vals[k], vals[2 * k], vals[2 * k + 1], const)
-        return vals[1 : count + 1]
+        return self._fill(count)[1 : count + 1]
+
+    def _blocks(self, count: int, doubled: bool = False) -> Iterator[tuple]:
+        """[s(1), ..., s(count)] in consecutive blocks (k, [s(k), s(k + 1), ...]), each
+        inside one row; with doubled, (k, values, [s(2k), s(2k + 2), ...]).  Rows to
+        depth c = _BLOCK_DEPTH (one less with doubled) come from one s_prefix; a block
+        k = j * 2**c of a deeper row is the level c below node j, filled again from
+        _triple(j), so about 2**(_BLOCK_DEPTH + 1) values are live at any count.  count
+        is not checked."""
+        c = _BLOCK_DEPTH - doubled
+
+        def end(lo, first):  # slot lo holds s(first); one past the block's last slot
+            return lo + min(lo, count + 1 - first)
+
+        def cut(vals, lo, first):
+            hi = end(lo, first)
+            block = (first, vals[lo:hi])
+            return (*block, vals[2 * lo : 2 * hi : 2]) if doubled else block
+
+        head = min(count, (2 << c) - 1)
+        vals = [0, *self.s_prefix(((head + 1) << doubled) - 1)]
+        yield from (cut(vals, 1 << r, 1 << r) for r in range(head.bit_length()))
+        del vals  # not kept while the deeper rows are filled
+        lo = 1 << c
+        for first in range(2 * lo, count + 1, lo):
+            top = self._triple(first >> c)
+            yield cut(self._fill((end(lo, first) << doubled) - 1, top), lo, first)
 
     def pair_at(self, k: int) -> DivisorPair:
         """The k-th breadth-first tree pair, (s(2k) - s(k), s(k))."""

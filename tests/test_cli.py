@@ -242,16 +242,30 @@ def _no_row_walks(monkeypatch):
 def test_stats_refuses_before_any_row(capsys, monkeypatch):
     _no_row_walks(monkeypatch)
     code, out, err = run(capsys, "stats", "phi0", "--kmax", "5", "--max-nodes", "20")
-    assert (code, out, err) == (2, "", "error: depth 5 needs 63 nodes, budget is 20\n")
+    assert (code, out, err) == (2, "", "error: kmax 5 needs 63 nodes, budget is 20\n")
     code, out, err = run(capsys, "stats", "phi0", "--kmax", "-1")
-    assert (code, out, err) == (2, "", "error: depth must be >= 0, got -1\n")
+    assert (code, out, err) == (2, "", "error: kmax must be >= 0, got -1\n")
+    code, out, err = run(capsys, "stats", "phi0", "--kmax", "21")
+    assert (code, out, err) == (2, "", "error: kmax 21 needs 4194303 nodes, budget is 2097152\n")
 
 
 def test_verify_rowsums_refuses_an_oversized_bound_before_any_row(capsys, monkeypatch):
     _no_row_walks(monkeypatch)
-    code, out, err = run(capsys, "verify", "rowsums", "--bound", "21")
+    code, out, err = run(capsys, "verify", "rowsums", "--bound", "30")
     assert (code, out) == (2, "")
-    assert err == "error: depth 21 needs 4194303 nodes, budget is 2097152\n"
+    assert err == "error: bound 30 needs 2147483647 nodes, budget is 2097152\n"
+
+
+def test_verify_recursions_refusal_names_its_bound(capsys, monkeypatch):
+    _no_row_walks(monkeypatch)
+    code, out, err = run(capsys, "verify", "recursions", "--bound", "21")
+    assert (code, out) == (2, "")
+    assert err == "error: bound 21 needs 4194303 nodes, budget is 2097152\n"
+
+
+def test_tree_refusal_names_its_depth(capsys):
+    code, out, err = run(capsys, "tree", "phi0", "--depth", "21", "--format", "text")
+    assert (code, out, err) == (2, "", "error: depth 21 needs 4194303 nodes, budget is 2097152\n")
 
 
 @pytest.mark.parametrize(
@@ -432,11 +446,17 @@ def test_large_integers_serialized_as_strings(capsys):
     recs = [json.loads(line) for line in out.splitlines()]
     assert isinstance(recs[0]["m"], int)
 
-    from enumtree.cli import _record_line
+    from enumtree.cli import _json_lines
 
-    line = _record_line(2**60, 2**54, 3, "S", 60)
+    (line,) = _json_lines(60, 2**60, [2**54], [3])
     rec = json.loads(line)
-    assert rec["index"] == str(2**60) and rec["m"] == str(2**54) and rec["n"] == 3
+    assert rec == {"index": str(2**60), "m": str(2**54), "n": 3, "word": "S" * 60, "row": 60}
+    # the inline test switches at 2^53 for each value, line by line within a block
+    lines = list(_json_lines(1, 2, [2**53 - 1, 2**53], [2**53, 2**53 - 1]))
+    assert [json.loads(line) for line in lines] == [
+        {"index": 2, "m": 2**53 - 1, "n": str(2**53), "word": "S", "row": 1},
+        {"index": 3, "m": str(2**53), "n": 2**53 - 1, "word": "T", "row": 1},
+    ]
 
 
 def test_results_unchanged_under_python_O():
@@ -452,6 +472,9 @@ def test_results_unchanged_under_python_O():
     for argv in (
         ["verify", "recursions"],
         ["seq", "psi2", "--count", "64", "--format", "json"],
+        # past the first fill: rows deeper than the block depth are filled again
+        ["seq", "psi2", "--count", "40000", "--format", "bfile"],
+        ["seq", "psi2", "--count", "40000", "--format", "json"],
         ["inverse", "phi1", "37", "100"],
         ["stats", "psi2", "--kmax", "8"],
     ):
@@ -641,6 +664,50 @@ def test_each_output_chunk_is_one_write(monkeypatch):
     assert main(["tree", "phi0", "--depth", "13"]) == 0
     assert sink.digest.hexdigest() == GOLDEN_SHA256[0][3]
     assert sink.writes == 4
+
+
+# stdout SHA-256 of `seq <poly> --count 200000`, recorded from the CLI that
+# filled the whole prefix s(1..count), or s(1..2 * count + 1) for json, at once;
+# rows 15..17 are deeper than one block.
+GOLDEN_LONG_SEQ_SHA256 = [
+    ("phi0", "bfile", "74fb81640e12c004d2ec6ea270feddeb57350c03872914d8d920d1146642263d"),
+    ("phi0", "json", "98a5c7d5ef3a89d8c1320507200f9d59ae3ddc2d5076725a34b8baeb41e9b6ed"),
+    ("phi1", "bfile", "4b687f6e730d7602e1f53eef03de9da50e74d3697f61d106ad71e6f57cef9bc3"),
+    ("phi1", "json", "481453516124fe017794e8e03176f8fd86bd751a356ecb309638f0ea3991ba5b"),
+    ("psi2", "bfile", "adf16a6109b17a6a3423c88aaa274718a631e335ea1e81fd29274258c0dd45bb"),
+    ("psi2", "json", "0b084366e7e092ad557eb7f90e6500293f76c38d4a721411115fec3058de7731"),
+    ("phi3", "bfile", "f1ca9699ec0f594e40935b6e361e4f5b6695e26abfd012f066caf3024dd47491"),
+    ("phi3", "json", "0957ac128ebd6f926df377aa3dc7b872a0431f24d640daf6dc03349de65b7f53"),
+]
+
+
+@pytest.mark.parametrize("name, fmt, digest", GOLDEN_LONG_SEQ_SHA256)
+def test_long_seq_matches_golden_hash(monkeypatch, name, fmt, digest):
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["seq", name, "--count", "200000", "--format", fmt]) == 0
+    assert sink.digest.hexdigest() == digest
+
+
+# `seq phi0 --count 262144` (rows 0..17 and the first term of row 18): size,
+# digest recorded from the CLI that filled the whole prefix, and its tracemalloc
+# peak there (13.0 MB for bfile, 25.7 MB for json).
+@pytest.mark.parametrize("fmt, size, digest", [
+    ("bfile", 3_477_618, "e1793cd8c2678a6740afecebbb026a84aa7f6553df32b961b2dcd4499c0ab3a0"),
+    ("json", 19_125_495, "516435fc295741debb6fe07a9505b34b573974f249afd49b81caf2b62199517c"),
+])
+def test_seq_memory_is_bounded(monkeypatch, fmt, size, digest):
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["seq", "phi0", "--count", "262144", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size == size
+    assert sink.digest.hexdigest() == digest
+    assert peak < 5_000_000
 
 
 # stdout SHA-256 of `tree <poly> --depth 17 --format text`, recorded from the CLI

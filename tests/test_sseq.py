@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enumtree import sseq
 from enumtree.arith import divisors
 from enumtree.maps import NodeBudgetExceeded, f_hat, f_hat_inverse, int_tree_rows, tree_rows
 from enumtree.monoid import index_to_word, word_to_matrix
@@ -193,6 +194,41 @@ def test_row_sums_follow_the_linear_representation(f):
         for r in range(2, depth + 1)
     ]
     assert oracle == tree == prefix
+
+
+# Summing the step of the oracle above over a row: with D = C - B,
+#   C' - B' = (2B + 3C - A + beta N) - (3B + 2C - A + beta N) = C - B = D,
+# so D is the same on every row; with M = B - A and C = B + D,
+#   M'  = B' - A'  = 2B + C - A + beta N         = 3B - A + D + beta N,
+#   M'' = 3B' - A' + D + 2 beta N                = 13B - 3A + 6D + 5 beta N,
+# and M'' - 5M' + 2M = D: M_{r+2} = 5 M_{r+1} - 2 M_r + (C - B).
+def _m_recursion_residues(abc, nodes, beta, rows):
+    ms = [m for m, _ in row_sums_by_representation(abc, nodes, beta, rows)]
+    return [c - 5 * b + 2 * a for a, b, c in zip(ms, ms[1:], ms[2:])]
+
+
+def test_row_sum_recursion_follows_from_the_triple_step():
+    # The step is linear in (A, B, C, beta N); on each basis vector the residue
+    # M_{r+2} - 5 M_{r+1} + 2 M_r of every row r is that vector's C - B.
+    for abc, nodes, beta, d in [
+        ((1, 0, 0), 1, 0, 0),
+        ((0, 1, 0), 1, 0, -1),
+        ((0, 0, 1), 1, 0, 1),
+        ((0, 0, 0), 1, 1, 0),
+    ]:
+        assert _m_recursion_residues(abc, nodes, beta, 16) == [d] * 14
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_row_m_sums_follow_the_derived_recursion(f):
+    depth = 16
+    _, (a, b, c) = ROW2_TRIPLE_SUMS[f.name]
+    s = [0, *kernel_for(f).s_prefix(16)]  # s[k] is s(k)
+    assert c - b == sum(s[2 * k + 1] - s[2 * k] for k in range(4, 8))
+    if f is PHI0:
+        assert c - b == 0  # so phi0's M_r = 5 M_{r-1} - 2 M_{r-2}, as row_stats_recursive has it
+    ms = [sum(m for m, _ in row) for row in list(int_tree_rows(f, depth))[2:]]
+    assert [z - 5 * y + 2 * x for x, y, z in zip(ms, ms[1:], ms[2:])] == [c - b] * (depth - 3)
 
 
 def test_kernel_parameters():
@@ -400,3 +436,33 @@ def test_kernel_is_safe_under_concurrent_readers():
     for t in threads:
         t.join()
     assert all(r == expected for r in results)
+
+
+def _boundary_counts(block):
+    """Counts 1 .. 2**(block + 3) one off, at and one past each row start and each
+    block start k = j * 2**block, where the blocks of _blocks begin."""
+    top = 1 << (block + 3)
+    starts = {1 << r for r in range(block + 4)} | set(range(2 << block, top + 1, 1 << block))
+    return sorted({k + d for k in starts for d in (-1, 0, 1)} & set(range(1, top + 1)))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, sseq._BLOCK_DEPTH])
+@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, doubled, depth):
+    # psi2's late seeds lie below index 8, inside the first fill at any block depth;
+    # doubled blocks are one level shallower
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", depth)
+    block = depth - doubled
+    kern = kernel_for(f)
+    counts = _boundary_counts(block)
+    s = [0, *kern.s_prefix(2 * counts[-1] + 1)]  # s[k] is s(k)
+    for count in counts:
+        k = 1
+        for first, values, *rest in kern._blocks(count, doubled):
+            assert first == k and 1 <= len(values) <= max(1 << block, first)
+            assert (first + len(values) - 1).bit_length() == first.bit_length()  # one row
+            assert values == s[first : first + len(values)], (count, first)
+            assert rest == ([s[2 * first : 2 * (first + len(values)) : 2]] if doubled else [])
+            k += len(values)
+        assert k == count + 1
