@@ -3,7 +3,7 @@
 A record's fields are its __slots__, filled in order by set_field: a record
 without checks inherits Record.__init__ for that, one with checks writes its own.
 _fields() reads them in order, and equality, hashing, repr and pickling all go
-by it; a subclass may put identity back for __eq__/__hash__.
+by it.
 """
 
 set_field = object.__setattr__

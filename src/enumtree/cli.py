@@ -216,34 +216,29 @@ def _cmd_scan(args) -> int:
 
 
 def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
-    # Accepts flags before or after the coefficient list; "--" guards
-    # negative coefficients from being read as flags.
+    # --nmax may follow the coefficients, or precede them past the "--" guard
+    # (argparse reads a leading flag as its own); the guard also keeps negative
+    # coefficients from being read as flags.
+    def integer(tok: str, message: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(message) from None
+
     coeffs: list[int] = []
-    n_max = 10
-    seen_guard = False
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if tok == "--" and not seen_guard:
-            seen_guard = True
-            i += 1
-            continue
-        if tok == "--nmax":
-            if i + 1 >= len(rest):
+    n_max, guarded, tokens = 10, False, iter(rest)
+    for tok in tokens:
+        if tok == "--" and not guarded:
+            guarded = True
+        elif tok == "--nmax":
+            value = next(tokens, None)
+            if value is None:
                 raise ValueError("--nmax needs a value")
-            try:
-                n_max = int(rest[i + 1])
-            except ValueError:
-                raise ValueError(f"--nmax needs an integer, got {rest[i + 1]!r}") from None
+            n_max = integer(value, f"--nmax needs an integer, got {value!r}")
             if n_max < 0:
                 raise ValueError(f"--nmax must be >= 0, got {n_max}")
-            i += 2
-            continue
-        try:
-            coeffs.append(int(tok))
-        except ValueError:
-            raise ValueError(f"unrecognized scan argument {tok!r}") from None
-        i += 1
+        else:
+            coeffs.append(integer(tok, f"unrecognized scan argument {tok!r}"))
     if not coeffs:
         raise ValueError("scan needs a coefficient list (constant term first)")
     return coeffs, n_max

@@ -57,7 +57,8 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 1 << 21
 
-# Rows deeper than this are streamed in blocks of this depth (_streamed_rows).
+# Rows deeper than this are streamed in blocks of this depth (_streamed_rows, and
+# SSeqKernel._blocks, which reads it at call time).
 _BLOCK_DEPTH = 14
 
 
@@ -135,7 +136,7 @@ def _peel(f: EnumerablePoly, m: int, n: int, q: int, chain: list | None = None) 
     """Peel (m, n), a pair of the tree of f, down to (1, 0): its exponents.  The signed
     cofactor q = f(n) / m is given and carried from here on; only if given a chain
     list, ending in (m, n), appends each further visited pair to it."""
-    b = f.poly.coeffs[1]
+    b = f.beta
     exponents: list[int] = []
     while n or m != 1:
         cert = _violation(f.poly, m, n, abs(q))
@@ -220,7 +221,7 @@ def _streamed_rows(f: EnumerablePoly, depth: int):
     the level _BLOCK_DEPTH below each node of row r - _BLOCK_DEPTH, built again,
     so about 3 * 2**_BLOCK_DEPTH nodes are live (up to depth 2 * _BLOCK_DEPTH,
     past the default node budget).  Sizes are not checked."""
-    b, c, root = f.poly.coeffs[1], _BLOCK_DEPTH, ([(1, 0)], [f.poly(0)])
+    b, c, root = f.beta, _BLOCK_DEPTH, ([(1, 0)], [f.poly(0)])
     yield from (row for row, _ in _int_rows(b, *root, min(depth, c)))
     for r in range(c + 1, depth + 1):
         tops, top_cofs = _last(_int_rows(b, *root, r - c))
@@ -238,7 +239,7 @@ def int_tree_rows(
     depth and the total node count are checked up front.
     """
     check_tree_size(depth, max_nodes)
-    return (row for row, _ in _int_rows(f.poly.coeffs[1], [(1, 0)], [f.poly(0)], depth))
+    return (row for row, _ in _int_rows(f.beta, [(1, 0)], [f.poly(0)], depth))
 
 
 def tree_rows(

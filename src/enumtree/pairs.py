@@ -12,7 +12,8 @@ divisor pairs by the free S/T matrix monoid under these moves:
 
     x^2 + 1,   x^2 + x + 1,   x^2 + 2x - 1,   x^2 + 3x + 1
 
-exposed below as PHI0, PHI1, PSI2 and PHI3.
+exposed below as PHI0, PHI1, PSI2 and PHI3.  An EnumerablePoly is a name and
+its polynomial; its linear coefficient beta is read off the polynomial.
 
 Divisibility is always tested against |f(n)|, so a polynomial and its
 negation define the same pair set and the same moves.
@@ -112,15 +113,11 @@ def poly(*coeffs: int) -> Poly:
 
 
 class EnumerablePoly(Record):
-    """A named monic quadratic without a root n >= 0, such as the four trees below.
+    """A named monic quadratic without a root n >= 0, such as the four trees below."""
 
-    beta is the linear coefficient; it is also the additive constant in the
-    second-component recursions of the tree.
-    """
+    __slots__ = ("name", "poly")
 
-    __slots__ = ("name", "beta", "poly")
-
-    def __init__(self, name: str, beta: int, poly: Poly) -> None:
+    def __init__(self, name: str, poly: Poly) -> None:
         if poly.degree != 2 or poly.leading != 1:
             raise ValueError(f"{poly} is not a monic quadratic")
         c, b = poly.coeffs[:2]
@@ -128,8 +125,13 @@ class EnumerablePoly(Record):
         if r >= 0 and poly(r) == 0:
             raise ValueError(f"{poly} vanishes at n = {r}, where c_bar is undefined")
         set_field(self, "name", name)
-        set_field(self, "beta", beta)
         set_field(self, "poly", poly)
+
+    @property
+    def beta(self) -> int:
+        """The linear coefficient; also the additive constant in the tree's
+        second-component recursions."""
+        return self.poly.coeffs[1]
 
     @property
     def monic_negative_constant(self) -> bool:
@@ -140,10 +142,10 @@ class EnumerablePoly(Record):
         return self.name
 
 
-PHI0 = EnumerablePoly("phi0", 0, poly(1, 0, 1))
-PHI1 = EnumerablePoly("phi1", 1, poly(1, 1, 1))
-PSI2 = EnumerablePoly("psi2", 2, poly(-1, 2, 1))
-PHI3 = EnumerablePoly("phi3", 3, poly(1, 3, 1))
+PHI0 = EnumerablePoly("phi0", poly(1, 0, 1))
+PHI1 = EnumerablePoly("phi1", poly(1, 1, 1))
+PSI2 = EnumerablePoly("psi2", poly(-1, 2, 1))
+PHI3 = EnumerablePoly("phi3", poly(1, 3, 1))
 
 ENUMERABLE_POLYS = (PHI0, PHI1, PSI2, PHI3)
 POLY_BY_NAME = {f.name: f for f in ENUMERABLE_POLYS}

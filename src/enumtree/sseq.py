@@ -12,6 +12,8 @@ so s is 2-regular.  The constant equals the linear coefficient of the
 polynomial (0, 1, 2 or 3).  Initial values are s(1)=0, s(2)=1, s(3)=1; for
 x^2 + 2x - 1 the recursion only starts at k = 2 (f(0) = -1 perturbs the first
 net application) so four more seeds s(4)=2, s(5)=3, s(6)=3, s(7)=2 are fixed.
+So a kernel depends on its polynomial alone: kernel_for reads it off f on each
+call, and kernels compare, hash and pickle by value like every other record.
 
 The whole pair tree is recoverable from s alone: the k-th breadth-first pair
 is (s(2k) - s(k), s(k)).  For x^2 + 1 there is additionally a 3-vector form:
@@ -40,9 +42,10 @@ reduced there.
 from itertools import islice
 from typing import Iterator
 
+from . import maps
 from ._record import Record
 from .arith import divisors
-from .maps import _BLOCK_DEPTH, DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
+from .maps import DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
 from .monoid import mirror_index
 from .pairs import DivisorPair, EnumerablePoly, make_pair
 
@@ -65,12 +68,11 @@ R_MATRIX: Mat3 = ((0, 0, 1), (0, 1, 2), (-1, 0, 2))
 class SSeqKernel(Record):
     """Recursion kernel of one tree's second-component sequence.
 
-    The recursion holds for k >= start; initial holds the seeds s(1) .. s(4*start - 1).
+    The recursion holds for k >= start; initial is the tuple of seeds in heap
+    order, slot k holding s(k) for k < 4 * start (slot 0 is unused).
     """
 
     __slots__ = ("poly", "const", "start", "initial")
-    __eq__ = object.__eq__  # kernels compare and hash by identity
-    __hash__ = object.__hash__
 
     def _triple(self, k: int) -> Vec3:
         """(s(k), s(2k), s(2k+1)) by the digit walk from k's seed node."""
@@ -94,7 +96,7 @@ class SSeqKernel(Record):
         """s in heap order by net_expand, to slot stop or up to 3 past it: slot k holds s(k);
         from top = _triple(j), j >= start, level d holds s(j * 2**d), s(j * 2**d + 1), ...."""
         if top is None:
-            first, vals = self.start, [0] + [self.initial[j] for j in range(1, 4 * self.start)]
+            first, vals = self.start, list(self.initial)
         else:
             first, vals = 1, [0, *top]
         const, kids = self.const, islice(vals, 2 * first, None)
@@ -112,11 +114,11 @@ class SSeqKernel(Record):
     def _blocks(self, count: int, doubled: bool = False) -> Iterator[tuple]:
         """[s(1), ..., s(count)] in consecutive blocks (k, [s(k), s(k + 1), ...]), each
         inside one row; with doubled, (k, values, [s(2k), s(2k + 2), ...]).  Rows to
-        depth c = _BLOCK_DEPTH (one less with doubled) come from one s_prefix; a block
-        k = j * 2**c of a deeper row is the level c below node j, filled again from
-        _triple(j), so about 2**(_BLOCK_DEPTH + 1) values are live at any count.  count
-        is not checked."""
-        c = _BLOCK_DEPTH - doubled
+        depth c = maps._BLOCK_DEPTH (one less with doubled) come from one s_prefix; a
+        block k = j * 2**c of a deeper row is the level c below node j, filled again
+        from _triple(j), so about 2**(maps._BLOCK_DEPTH + 1) values are live at any
+        count.  count is not checked."""
+        c = maps._BLOCK_DEPTH - doubled
 
         def end(lo, first):  # slot lo holds s(first); one past the block's last slot
             return lo + min(lo, count + 1 - first)
@@ -169,22 +171,11 @@ class SSeqKernel(Record):
         return fiber == {1 << n, (1 << (n + 1)) - 1}
 
 
-_BASE_SEEDS = {1: 0, 2: 1, 3: 1}
-_LATE_START_SEEDS = {1: 0, 2: 1, 3: 1, 4: 2, 5: 3, 6: 3, 7: 2}
-
-_KERNELS: dict[str, SSeqKernel] = {}
-
-
 def kernel_for(f: EnumerablePoly) -> SSeqKernel:
-    """The shared kernel of f's sequence, one per polynomial name."""
-    kernel = _KERNELS.get(f.name)
-    if kernel is None:
-        if f.monic_negative_constant:
-            kernel = SSeqKernel(f, f.beta, 2, dict(_LATE_START_SEEDS))
-        else:
-            kernel = SSeqKernel(f, f.beta, 1, dict(_BASE_SEEDS))
-        _KERNELS[f.name] = kernel
-    return kernel
+    """The kernel of f's sequence, read off f (module docstring)."""
+    if f.monic_negative_constant:
+        return SSeqKernel(f, f.beta, 2, (0, 0, 1, 1, 2, 3, 3, 2))
+    return SSeqKernel(f, f.beta, 1, (0, 0, 1, 1))
 
 
 def vector_tree_rows(

@@ -19,9 +19,10 @@ import enumtree
 from enumtree import arith, cli, maps, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
-from enumtree.maps import f_hat, f_hat_inverse
+from enumtree.maps import f_hat, f_hat_inverse, tree_rows
 from enumtree.monoid import index_to_word, word_to_matrix
-from enumtree.pairs import ENUMERABLE_POLYS, POLY_BY_NAME, Poly, make_pair
+from enumtree.pairs import ENUMERABLE_POLYS, PHI0, POLY_BY_NAME, Poly, make_pair
+from enumtree.sseq import kernel_for
 from oracles import trial_tau
 
 
@@ -197,6 +198,15 @@ def test_scan_flags_after_guard(capsys):
     code, out, _ = run(capsys, "scan", "--", "1", "5", "1", "--nmax", "10")
     assert code == 0
     assert "LEFT violation at (5, 3)" in out
+
+
+def test_scan_flag_before_the_coefficients_past_the_guard(capsys):
+    before = run(capsys, "scan", "--", "--nmax", "3", "1", "5", "1")
+    after = run(capsys, "scan", "--", "1", "5", "1", "--nmax", "3")
+    assert before == after and before[0] == 0 and "(5, 3)" in before[1]
+    # without the guard argparse reads --nmax as its own, unknown, flag
+    code, out, err = run(capsys, "scan", "--nmax", "3", "1", "5", "1")
+    assert (code, out) == (2, "") and "unrecognized arguments: --nmax" in err
 
 
 def test_scan_clean(capsys):
@@ -689,27 +699,6 @@ def test_long_seq_matches_golden_hash(monkeypatch, name, fmt, digest):
     assert sink.digest.hexdigest() == digest
 
 
-# `seq phi0 --count 262144` (rows 0..17 and the first term of row 18): size,
-# digest recorded from the CLI that filled the whole prefix, and its tracemalloc
-# peak there (13.0 MB for bfile, 25.7 MB for json).
-@pytest.mark.parametrize("fmt, size, digest", [
-    ("bfile", 3_477_618, "e1793cd8c2678a6740afecebbb026a84aa7f6553df32b961b2dcd4499c0ab3a0"),
-    ("json", 19_125_495, "516435fc295741debb6fe07a9505b34b573974f249afd49b81caf2b62199517c"),
-])
-def test_seq_memory_is_bounded(monkeypatch, fmt, size, digest):
-    sink = _HashingSink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        code = main(["seq", "phi0", "--count", "262144", "--format", fmt])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and sink.size == size
-    assert sink.digest.hexdigest() == digest
-    assert peak < 5_000_000
-
-
 # stdout SHA-256 of `tree <poly> --depth 17 --format text`, recorded from the CLI
 # that walked the DivisorPair moves; rows 15..17 are deeper than one block.
 GOLDEN_DEEP_TEXT_TREE_SHA256 = [
@@ -728,20 +717,91 @@ def test_deep_text_tree_matches_golden_hash(monkeypatch, name, digest):
     assert sink.digest.hexdigest() == digest
 
 
-def test_text_tree_memory_is_bounded(monkeypatch):
-    # 2^19 - 1 nodes, 9.5 MB of text; the digest was recorded from the CLI that
-    # walked the DivisorPair moves a whole row at a time (46.6 MB traced peak)
+# Full-size runs of the streamers, without tracemalloc: size and digest recorded
+# from the CLI that built whole rows (tree: the DivisorPair moves, 46.6 MB traced
+# peak) or filled the whole prefix (seq: 13.0 MB traced as a b-file, 25.7 MB as
+# json).  Tree rows 15..18 and seq rows 15..17 and the first term of row 18 are
+# deeper than one block.
+@pytest.mark.parametrize("argv, size, digest", [
+    ("tree phi0 --depth 18 --format text", 9_481_181,
+     "ff57569475eafe4bd364bb02f8920eeccb953c2d3b01e8744993bfa37ae10c56"),
+    ("seq phi0 --count 262144 --format bfile", 3_477_618,
+     "e1793cd8c2678a6740afecebbb026a84aa7f6553df32b961b2dcd4499c0ab3a0"),
+    ("seq phi0 --count 262144 --format json", 19_125_495,
+     "516435fc295741debb6fe07a9505b34b573974f249afd49b81caf2b62199517c"),
+], ids=["tree", "seq-bfile", "seq-json"])
+def test_streamed_output_matches_its_size_and_digest(monkeypatch, argv, size, digest):
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv.split()) == 0
+    assert (sink.size, sink.digest.hexdigest()) == (size, digest)
+
+
+# The memory bounds run at block depth 6, on rows past depth 2 * 6 (where a tree
+# row takes its tops from a row deeper than one block).  Streamed, the output
+# chunks set the peak; with one block as deep as the output, or at the commit
+# before each streamer, whole rows or the whole prefix are live and the same run
+# exceeds its bound.
+_SMALL_BLOCK_DEPTH = 6
+
+
+def _sha256(lines) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def _peak_and_digest(monkeypatch, block, argv):
+    """tracemalloc peak and stdout SHA-256 of main(argv) at maps._BLOCK_DEPTH = block."""
+    monkeypatch.setattr(maps, "_BLOCK_DEPTH", block)
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = main(["tree", "phi0", "--depth", "18", "--format", "text"])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and sink.size == 9_481_181
-    assert sink.digest.hexdigest() == "ff57569475eafe4bd364bb02f8920eeccb953c2d3b01e8744993bfa37ae10c56"
-    assert peak < 8_000_000
+    assert code == 0
+    return peak, sink.digest.hexdigest()
+
+
+def test_text_tree_memory_is_bounded(monkeypatch):
+    # depth 14: 32,767 nodes, 0.5 MB of text; about 1.0 MB traced streamed, 3.6 MB
+    # in one block and 3.1 MB at the commit before the streamer
+    depth = 14
+    expected = _sha256(
+        "  " * r + "  ".join(map(str, row)) + "\n" for r, row in enumerate(tree_rows(PHI0, depth))
+    )
+    argv = ["tree", "phi0", "--depth", str(depth), "--format", "text"]
+    streamed = _peak_and_digest(monkeypatch, _SMALL_BLOCK_DEPTH, argv)
+    whole = _peak_and_digest(monkeypatch, depth, argv)
+    assert streamed[1] == whole[1] == expected
+    assert streamed[0] < 1_800_000 < whole[0]
+
+
+@pytest.mark.parametrize(
+    "fmt, bound", [("bfile", 1_200_000), ("json", 2_700_000)], ids=["bfile", "json"]
+)
+def test_seq_memory_is_bounded(monkeypatch, fmt, bound):
+    # 2^15 terms, to the first of row 15; about 0.7 / 1.6 MB traced streamed,
+    # 2.1 / 4.5 MB in one block and 2.2 / 4.2 MB at the commit before the streamer
+    count = 1 << 15
+    s = [0, *kernel_for(PHI0).s_prefix(2 * count + 1)]  # s[k] is s(k)
+    ks = range(1, count + 1)
+    if fmt == "bfile":
+        expected = _sha256(f"{k} {s[k]}\n" for k in ks)
+    else:
+        expected = _sha256(json.dumps(
+            {"index": k, "m": s[2 * k] - s[k], "n": s[k], "word": index_to_word(k),
+             "row": k.bit_length() - 1}, separators=(",", ":")
+        ) + "\n" for k in ks)
+    argv = ["seq", "phi0", "--count", str(count), "--format", fmt]
+    streamed = _peak_and_digest(monkeypatch, _SMALL_BLOCK_DEPTH, argv)
+    whole = _peak_and_digest(monkeypatch, count.bit_length(), argv)
+    assert streamed[1] == whole[1] == expected
+    assert streamed[0] < bound < whole[0]
 
 
 # stdout SHA-256 of `verify <suite>` at its default bound, recorded from the CLI

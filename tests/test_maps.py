@@ -173,7 +173,7 @@ def test_peel_gives_the_same_exponents_with_and_without_a_chain(f):
 
 def test_inverse_refuses_an_unreachable_pair():
     # (5, 3) is a pair of x^2 + 5x + 1 (f(3) = 25) below the min side of the bound
-    f = EnumerablePoly("x^2+5x+1", 5, poly(1, 5, 1))
+    f = EnumerablePoly("x^2+5x+1", poly(1, 5, 1))
     with pytest.raises(ArithmeticError, match=r"\(min side\)"):
         f_hat_inverse(f, make_pair(5, 3, f))
 

@@ -48,9 +48,13 @@ def test_poly_normalization_and_str():
 def test_enumerable_poly_must_be_monic_quadratic():
     for f in (poly(1, 0, 2), poly(1, 1), poly(1, 0, 0, 1), poly(5), poly()):
         with pytest.raises(ValueError, match="not a monic quadratic"):
-            EnumerablePoly("f", 0, f)
-    # the linear coefficient beta is not checked against the polynomial
-    assert EnumerablePoly("phi0", 1, poly(1, 0, 1)).beta == 1
+            EnumerablePoly("f", f)
+
+
+def test_beta_is_read_off_the_polynomial():
+    assert EnumerablePoly.__slots__ == ("name", "poly")
+    for f in (*ENUMERABLE_POLYS, EnumerablePoly("x^2+5x+1", poly(1, 5, 1))):
+        assert f.beta == f.poly.coeffs[1]
 
 
 @pytest.mark.parametrize(
@@ -60,13 +64,13 @@ def test_enumerable_poly_must_be_monic_quadratic():
 )
 def test_enumerable_poly_must_not_vanish_on_the_tree(f, root):
     with pytest.raises(ValueError, match=f"vanishes at n = {root}"):
-        EnumerablePoly("f", f.coeffs[1], f)
+        EnumerablePoly("f", f)
 
 
 def test_enumerable_poly_accepts_the_trees_and_roots_off_the_tree():
     # x^2 + 5x + 1 has irrational roots; x^2 + 3x + 2 vanishes only at -1 and -2
     for f in (*(g.poly for g in ENUMERABLE_POLYS), poly(1, 5, 1), poly(2, 3, 1)):
-        assert EnumerablePoly("f", f.coeffs[1], f).poly == f
+        assert EnumerablePoly("f", f).poly == f
 
 
 def test_enumerable_constants():

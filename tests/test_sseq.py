@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enumtree import sseq
+from enumtree import maps
 from enumtree.arith import divisors
 from enumtree.maps import NodeBudgetExceeded, f_hat, f_hat_inverse, int_tree_rows, tree_rows
 from enumtree.monoid import index_to_word, word_to_matrix
@@ -236,7 +236,7 @@ def test_kernel_parameters():
     assert kernel_for(PHI1).const == 1
     assert kernel_for(PSI2).const == 2 and kernel_for(PSI2).start == 2
     assert kernel_for(PSI2).initial[7] == 2
-    private = SSeqKernel(PHI0, 0, 1, {1: 0, 2: 1, 3: 1})
+    private = SSeqKernel(PHI0, 0, 1, (0, 0, 1, 1))
     with pytest.raises(FrozenInstanceError):
         private.const = 5
 
@@ -350,8 +350,8 @@ def test_fiber_of_zero_is_the_root(f):
 def test_fiber_of_other_quadratics_matches_full_inverses_or_their_refusal(c0, c1):
     # These trees miss some pairs, e.g. (2, 0) of x^2 + 2; the fiber must refuse
     # exactly where inverting every divisor in ascending order first refuses.
-    f = EnumerablePoly("f", c1, poly(c0, c1, 1))
-    kern = SSeqKernel(f, c1, 1, {1: 0, 2: 1, 3: 1})
+    f = EnumerablePoly("f", poly(c0, c1, 1))
+    kern = SSeqKernel(f, c1, 1, (0, 0, 1, 1))
     for n in range(120):
         try:
             expected = {
@@ -416,8 +416,20 @@ def test_fiber_guards():
         kernel_for(PHI0).is_f_prime_via_fiber(0)
 
 
-def test_kernel_is_shared_singleton():
-    assert kernel_for(PHI0) is kernel_for(PHI0)
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_kernel_for_builds_a_value_each_call(f):
+    a, b = kernel_for(f), kernel_for(f)
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_a_kernel_depends_on_its_polynomial_not_its_name():
+    # a second polynomial named "phi0" gets phi1's sequence, asked before or after PHI0
+    impostor = EnumerablePoly("phi0", poly(1, 1, 1))
+    phi1_prefix = kernel_for(PHI1).s_prefix(15)
+    for first, second in [(impostor, PHI0), (PHI0, impostor)]:
+        prefixes = {f: kernel_for(f).s_prefix(15) for f in (first, second)}
+        assert prefixes == {PHI0: ABSTRACT_PREFIX, impostor: phi1_prefix}
+    assert phi1_prefix[:8] == [0, 1, 1, 2, 4, 4, 2, 3]
 
 
 def test_kernel_is_safe_under_concurrent_readers():
@@ -446,13 +458,13 @@ def _boundary_counts(block):
     return sorted({k + d for k in starts for d in (-1, 0, 1)} & set(range(1, top + 1)))
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, sseq._BLOCK_DEPTH])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, maps._BLOCK_DEPTH])
 @pytest.mark.parametrize("doubled", [False, True])
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
 def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, doubled, depth):
     # psi2's late seeds lie below index 8, inside the first fill at any block depth;
     # doubled blocks are one level shallower
-    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", depth)
+    monkeypatch.setattr(maps, "_BLOCK_DEPTH", depth)
     block = depth - doubled
     kern = kernel_for(f)
     counts = _boundary_counts(block)
