@@ -21,14 +21,14 @@ alone maps a failure to its code, by the table _EXIT_BY_FAILURE.
 
 All output is deterministic; integers above 2^53 - 1 are serialized as
 decimal strings in JSON so double-parsing consumers keep exact values.
-tree, seq, inverse and fiber write their output in bounded chunks, never as one
-string: a 4,000-letter inverse (5.7 MB of chain) peaks at 2.2 MB traced, not 22 MB.
-tree --format text also streams its rows from the integer tree in bounded blocks
-(maps._streamed_rows): depth 18 peaks at about 4 MB traced, not 47 MB; only
---format json walks the DivisorPair moves of maps.tree_rows.  seq streams s in
-blocks too (SSeqKernel._blocks): seq phi0 --count 262144 peaks at 2.9 MB traced
-as a b-file and 3.2 MB as json, not 13.0 and 25.7 MB.  JSON trees and sequences
-share one block formatter, _json_lines.
+tree, seq, inverse and fiber write bounded chunks, reading one part past each
+(_write_joined): a 4,000-letter inverse (5.7 MB of chain) peaks at 2 MB traced.
+tree --format text streams its rows from the integer tree in bounded blocks
+(maps._streamed_rows): depth 18 peaks at about 4 MB traced; only --format json
+walks the DivisorPair moves of maps.tree_rows.  seq streams whole rows of s
+(SSeqKernel._rows), the last cut at --count: seq phi0 --count 262144 peaks at
+2.1 MB traced as a b-file, 2.6 MB as json.  JSON trees and sequences share one
+row formatter on (m, n) pairs, _json_lines.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
 ENUMTREE_MAX_NODES environment variable (the flag wins).  tree, stats and
 verify rowsums check their depth against it once, by maps.check_tree_size,
@@ -38,9 +38,8 @@ before any row: a negative or oversized depth exits 2 with empty stdout.
 import argparse
 import os
 import sys
-from itertools import chain, count, islice
+from itertools import chain, islice
 from math import isqrt
-from operator import sub
 
 from . import analytics, classify
 from .arith import FactorLimitExceeded, divisors, is_prime
@@ -89,10 +88,10 @@ def _json_int(v: int) -> str:
     return str(v) if -_SAFE_INT <= v <= _SAFE_INT else f'"{v}"'
 
 
-def _json_lines(row: int, first: int, ms, ns):
-    """JSON lines of the nodes first, first + 1, ... of one tree row, with components
-    ms and ns (nonnegative); only a line with a value past 2^53 - 1 calls _json_int."""
-    for index, m, n in zip(count(first), ms, ns):
+def _json_lines(row: int, pairs):
+    """JSON lines of the nodes 2**row, 2**row + 1, ... of one tree row from their (m, n)
+    pairs (nonnegative); only a line with a value past 2^53 - 1 calls _json_int."""
+    for index, (m, n) in enumerate(pairs, 1 << row):
         word = index_to_word(index)
         if index > _SAFE_INT or m > _SAFE_INT or n > _SAFE_INT:
             index, m, n = _json_int(index), _json_int(m), _json_int(n)
@@ -102,14 +101,13 @@ def _json_lines(row: int, first: int, ms, ns):
 def _write_joined(parts, sep: str = "\n", per_write: int = _CHUNK_LINES) -> None:
     """Write parts to stdout, sep between them and a newline after the last,
     one write per at most per_write parts, never a whole output."""
-    write = sys.stdout.write
-    parts = iter(parts)
-    chunk = list(islice(parts, per_write))
-    while chunk:
-        following = list(islice(parts, per_write))
-        chunk[-1] += sep if following else "\n"
+    write, parts = sys.stdout.write, iter(parts)
+    following = next(parts, None)  # the one part read ahead, to choose the last separator
+    while following is not None:
+        chunk = [following, *islice(parts, per_write - 1)]
+        following = next(parts, None)
+        chunk[-1] += "\n" if following is None else sep
         write(sep.join(chunk))
-        chunk = following
 
 
 def _chain_text(pairs):
@@ -153,24 +151,22 @@ def _cmd_tree(args) -> int:
         # Words are recovered from the heap index: cheap and avoids
         # threading them through generation.
         _write_joined(chain.from_iterable(
-            _json_lines(row_idx, 1 << row_idx, [p.m for p in row], [p.n for p in row])
+            _json_lines(row_idx, ((p.m, p.n) for p in row))
             for row_idx, row in enumerate(tree_rows(f, args.depth, budget))
         ))
     return EXIT_OK
 
 
 def _cmd_seq(args) -> int:
-    f = POLY_BY_NAME[args.poly]
-    if args.count < 1:
-        raise ValueError(f"count must be >= 1, got {args.count}")
-    blocks = kernel_for(f)._blocks(args.count, args.format == "json")
+    f, count = POLY_BY_NAME[args.poly], args.count
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    rows = kernel_for(f)._rows(count.bit_length() - 1, args.format == "json")
+    rows = enumerate(islice(row, count + 1 - (1 << r)) for r, row in enumerate(rows))
     if args.format == "bfile":
-        lines = ((f"{k} {v}" for k, v in enumerate(ns, first)) for first, ns in blocks)
-    else:  # node k is the pair (s(2k) - s(k), s(k))
-        lines = (
-            _json_lines(first.bit_length() - 1, first, map(sub, s2, ns), ns)
-            for first, ns, s2 in blocks
-        )
+        lines = ((f"{k} {v}" for k, v in enumerate(row, 1 << r)) for r, row in rows)
+    else:
+        lines = (_json_lines(r, pairs) for r, pairs in rows)
     _write_joined(chain.from_iterable(lines))
     return EXIT_OK
 

@@ -58,7 +58,7 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 1 << 21
 
 # Rows deeper than this are streamed in blocks of this depth (_streamed_rows, and
-# SSeqKernel._blocks, which reads it at call time).
+# SSeqKernel._rows, which reads it at call time).
 _BLOCK_DEPTH = 14
 
 
@@ -99,10 +99,11 @@ def psi_beta(beta: int, x: Mat2) -> DivisorPair:
 
 
 def f_hat(f: EnumerablePoly, x: Mat2) -> DivisorPair:
-    """The pair of x in the tree of f, by the closed form."""
-    if f.monic_negative_constant:
-        return psi_beta(f.beta, x)
-    return phi_beta(f.beta, x)
+    """The pair of x in the tree of f by the closed form, for x^2 + beta*x +- 1 with f(1) > 0."""
+    c = f.poly(0)
+    if abs(c) != 1 or f.poly(1) <= 0:
+        raise ValueError(f"no closed form for the tree of {f.poly}")
+    return (psi_beta if c < 0 else phi_beta)(f.beta, x)
 
 
 def f_hat_via_action(f: EnumerablePoly, x: Mat2) -> DivisorPair:
@@ -196,15 +197,16 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
 
 def _int_rows(b: int, row: list[tuple[int, int]], cofs: list[int], depth: int):
     """row, then depth rows below it (s_bar then t_bar by the cofactor shift), each
-    with the cofactors f(n) / m of its pairs; f > 0 at n >= 1, as on the four trees."""
+    with the signed cofactors f(n) / m of its pairs."""
     yield row, cofs
     for _ in range(depth):
         children, child_cofs = [], []
         for (m, n), q in zip(row, cofs):
-            # t_bar = c_bar . s_bar . c_bar: c_bar(m, n) = (c, n) has cofactor +-m
+            # t_bar = c_bar . s_bar . c_bar: (c, n) of cofactor +-m, (c, n + c) of r, (|r|, n + c)
             c = abs(q)
-            children += ((m, n + m), (_shifted_cofactor(m if q > 0 else -m, n, b, 1, c), n + c))
-            child_cofs += (_shifted_cofactor(q, n, b, 1, m), c)
+            r = _shifted_cofactor(m if q > 0 else -m, n, b, 1, c)
+            children += ((m, n + m), (abs(r), n + c))
+            child_cofs += (_shifted_cofactor(q, n, b, 1, m), c if r > 0 else -c)
         row, cofs = children, child_cofs
         yield row, cofs
 

@@ -133,11 +133,6 @@ class EnumerablePoly(Record):
         second-component recursions."""
         return self.poly.coeffs[1]
 
-    @property
-    def monic_negative_constant(self) -> bool:
-        """True for the x^2 + 2x - 1 family member (constant term -1)."""
-        return self.poly.coeffs[0] == -1
-
     def __str__(self) -> str:
         return self.name
 

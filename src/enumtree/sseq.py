@@ -9,9 +9,10 @@ sequence s satisfying, with a per-polynomial additive constant,
     s(4k + 3) = 2 s(2k+1) - s(k)
 
 so s is 2-regular.  The constant equals the linear coefficient of the
-polynomial (0, 1, 2 or 3).  Initial values are s(1)=0, s(2)=1, s(3)=1; for
-x^2 + 2x - 1 the recursion only starts at k = 2 (f(0) = -1 perturbs the first
-net application) so four more seeds s(4)=2, s(5)=3, s(6)=3, s(7)=2 are fixed.
+polynomial (0, 1, 2 or 3 on the four trees).  The recursion holds for k >= 2^d,
+d the first n with 0 < f(n) < f(n + 1), and its seeds are read off the tree:
+the n-values of rows 0..d + 1.  That is s(1)=0, s(2)=1, s(3)=1 where d = 0, and
+for x^2 + 2x - 1 (f(0) = -1, d = 1) four more, s(4)=2, s(5)=3, s(6)=3, s(7)=2.
 So a kernel depends on its polynomial alone: kernel_for reads it off f on each
 call, and kernels compare, hash and pickle by value like every other record.
 
@@ -39,8 +40,9 @@ even indices.  At n = 0 the root (1, 0) is no min side, so every divisor is
 reduced there.
 """
 
-from itertools import islice
-from typing import Iterator
+from itertools import chain, islice
+from operator import sub
+from typing import Iterable, Iterator
 
 from . import maps
 from ._record import Record
@@ -111,31 +113,29 @@ class SSeqKernel(Record):
             raise ValueError(f"count must be >= 1, got {count}")
         return self._fill(count)[1 : count + 1]
 
-    def _blocks(self, count: int, doubled: bool = False) -> Iterator[tuple]:
-        """[s(1), ..., s(count)] in consecutive blocks (k, [s(k), s(k + 1), ...]), each
-        inside one row; with doubled, (k, values, [s(2k), s(2k + 2), ...]).  Rows to
-        depth c = maps._BLOCK_DEPTH (one less with doubled) come from one s_prefix; a
-        block k = j * 2**c of a deeper row is the level c below node j, filled again
-        from _triple(j), so about 2**(maps._BLOCK_DEPTH + 1) values are live at any
-        count.  count is not checked."""
+    def _rows(self, depth: int, doubled: bool = False) -> Iterator[Iterable]:
+        """Rows 0..depth of s as iterables used once, row r holding s(2**r), ...,
+        s(2**(r + 1) - 1); with doubled, the tree pairs (s(2k) - s(k), s(k)) instead.
+        Rows to depth c = maps._BLOCK_DEPTH (one less with doubled) come from one
+        s_prefix; a deeper row r is the level c below each node j of row r - c, filled
+        again from _triple(j), so about 2**(maps._BLOCK_DEPTH + 1) values are live at
+        any depth.  depth is not checked."""
         c = maps._BLOCK_DEPTH - doubled
 
-        def end(lo, first):  # slot lo holds s(first); one past the block's last slot
-            return lo + min(lo, count + 1 - first)
+        def level(vals, lo):  # slots lo .. 2 * lo - 1, and for doubled their doubles
+            ns = vals[lo : 2 * lo]
+            return zip(map(sub, vals[2 * lo : 4 * lo : 2], ns), ns) if doubled else ns
 
-        def cut(vals, lo, first):
-            hi = end(lo, first)
-            block = (first, vals[lo:hi])
-            return (*block, vals[2 * lo : 2 * hi : 2]) if doubled else block
-
-        head = min(count, (2 << c) - 1)
-        vals = [0, *self.s_prefix(((head + 1) << doubled) - 1)]
-        yield from (cut(vals, 1 << r, 1 << r) for r in range(head.bit_length()))
+        head = min(depth, c)
+        vals = [0, *self.s_prefix((2 << head << doubled) - 1)]
+        yield from (level(vals, 1 << r) for r in range(head + 1))
         del vals  # not kept while the deeper rows are filled
         lo = 1 << c
-        for first in range(2 * lo, count + 1, lo):
-            top = self._triple(first >> c)
-            yield cut(self._fill((end(lo, first) << doubled) - 1, top), lo, first)
+        for r in range(c + 1, depth + 1):
+            tops = range(1 << (r - c), 2 << (r - c))
+            yield chain.from_iterable(
+                level(self._fill((2 * lo << doubled) - 1, self._triple(j)), lo) for j in tops
+            )
 
     def pair_at(self, k: int) -> DivisorPair:
         """The k-th breadth-first tree pair, (s(2k) - s(k), s(k))."""
@@ -172,10 +172,11 @@ class SSeqKernel(Record):
 
 
 def kernel_for(f: EnumerablePoly) -> SSeqKernel:
-    """The kernel of f's sequence, read off f (module docstring)."""
-    if f.monic_negative_constant:
-        return SSeqKernel(f, f.beta, 2, (0, 0, 1, 1, 2, 3, 3, 2))
-    return SSeqKernel(f, f.beta, 1, (0, 0, 1, 1))
+    """The kernel of f's sequence, read off f and its tree (module docstring)."""
+    deep = DEFAULT_NODE_BUDGET.bit_length()  # a d this deep, int_tree_rows refuses
+    d = next((n for n in range(deep) if 0 < f.poly(n) < f.poly(n + 1)), deep)
+    seeds = (n for row in maps.int_tree_rows(f, d + 1) for _, n in row)
+    return SSeqKernel(f, f.beta, 1 << d, (0, *seeds))
 
 
 def vector_tree_rows(

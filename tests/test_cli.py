@@ -458,11 +458,11 @@ def test_large_integers_serialized_as_strings(capsys):
 
     from enumtree.cli import _json_lines
 
-    (line,) = _json_lines(60, 2**60, [2**54], [3])
+    (line,) = _json_lines(60, [(2**54, 3)])
     rec = json.loads(line)
     assert rec == {"index": str(2**60), "m": str(2**54), "n": 3, "word": "S" * 60, "row": 60}
     # the inline test switches at 2^53 for each value, line by line within a block
-    lines = list(_json_lines(1, 2, [2**53 - 1, 2**53], [2**53, 2**53 - 1]))
+    lines = list(_json_lines(1, [(2**53 - 1, 2**53), (2**53, 2**53 - 1)]))
     assert [json.loads(line) for line in lines] == [
         {"index": 2, "m": 2**53 - 1, "n": str(2**53), "word": "S", "row": 1},
         {"index": 3, "m": str(2**53), "n": 2**53 - 1, "word": "T", "row": 1},
@@ -674,6 +674,30 @@ def test_each_output_chunk_is_one_write(monkeypatch):
     assert main(["tree", "phi0", "--depth", "13"]) == 0
     assert sink.digest.hexdigest() == GOLDEN_SHA256[0][3]
     assert sink.writes == 4
+
+
+@pytest.mark.parametrize("total, per_write", [(1, 4096), (4096, 4096), (10_000, 4096), (7, 3), (5, 1)])
+def test_writer_reads_one_part_ahead(monkeypatch, total, per_write):
+    # at each write, at most one part has been pulled beyond those written
+    pulled, writes = [], []
+
+    def parts():
+        for i in range(total):
+            pulled.append(i)
+            yield str(i)
+
+    class Sink:
+        def write(self, text):
+            writes.append((text, len(pulled)))
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    cli._write_joined(parts(), " ", per_write)
+    assert "".join(text for text, _ in writes) == " ".join(map(str, range(total))) + "\n"
+    written = 0
+    for text, ahead in writes:
+        written += len(text.split())
+        assert written <= ahead <= written + 1
+    assert len(writes) == -(-total // per_write)
 
 
 # stdout SHA-256 of `seq <poly> --count 200000`, recorded from the CLI that

@@ -37,6 +37,7 @@ from enumtree.pairs import (
     PHI1,
     PHI3,
     PSI2,
+    BadPair,
     EnumerablePoly,
     Poly,
     c_bar,
@@ -260,14 +261,51 @@ def test_tree_budget_enforced():
 
 
 def test_int_tree_rows_are_the_tree_rows_components():
-    for f in ENUMERABLE_POLYS:
-        for ints, pairs in zip(int_tree_rows(f, 8), tree_rows(f, 8), strict=True):
+    # the other quadratics have f(n) < 0 at some n >= 1, where a right child is
+    # c_bar's (|r|, n), r its signed cofactor; x^2 - 8x + 1 has (6, 1) at index 3
+    others = [poly(-1, 1, 1), poly(2, 0, 1), poly(-1, 4, 1), poly(5, -5, 1), poly(1, -8, 1)]
+    for f in (*ENUMERABLE_POLYS, *(EnumerablePoly("f", p) for p in others)):
+        for ints, pairs in zip(int_tree_rows(f, 9), tree_rows(f, 9), strict=True):
             assert ints == [p.components() for p in pairs]
+    assert list(int_tree_rows(EnumerablePoly("f", others[-1]), 1))[1] == [(1, 1), (6, 1)]
     # both checks happen at the call, before any row is produced
     with pytest.raises(NodeBudgetExceeded):
         int_tree_rows(PHI0, 10, max_nodes=100)
     with pytest.raises(ValueError):
         int_tree_rows(PHI0, -1)
+
+
+def _closed_form_misses(f, x):
+    closed = psi_beta if f.poly(0) < 0 else phi_beta
+    try:
+        return closed(f.beta, x).components() != f_hat_via_action(f, x).components()
+    except BadPair:  # a first component below 1
+        return True
+
+
+def test_f_hat_is_the_replay_or_refuses():
+    # x^2 + b*x + c for |b| <= 8, |c| <= 25, without a root n >= 0: 783 trees.  The
+    # closed forms hold for the 18 with c = +-1 and f(1) > 0; for any other c they
+    # give pairs of x^2 + b*x +- 1, and for c = +-1 with f(1) <= 0 other components
+    # or no pair at all.
+    xs = [word_to_matrix(index_to_word(k)) for k in range(1, 256)]
+    trees = covered = 0
+    for b in range(-8, 9):
+        for c in range(-25, 26):
+            try:
+                f = EnumerablePoly("f", poly(c, b, 1))
+            except ValueError:
+                continue
+            trees += 1
+            if abs(c) == 1 and f.poly(1) > 0:
+                covered += 1
+                assert all(f_hat(f, x) == f_hat_via_action(f, x) for x in xs), f
+                continue
+            with pytest.raises(ValueError, match="no closed form"):
+                f_hat(f, IDENTITY)
+            if abs(c) == 1:
+                assert any(_closed_form_misses(f, x) for x in xs), f
+    assert (trees, covered) == (783, 18)
 
 
 @pytest.mark.parametrize("block", [0, 1, 3, maps._BLOCK_DEPTH])

@@ -2,6 +2,7 @@ import random
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from enumtree.pairs import (
     ENUMERABLE_POLYS,
     PHI0,
     PHI1,
+    PHI3,
     PSI2,
     EnumerablePoly,
     c_bar,
@@ -235,7 +237,11 @@ def test_kernel_parameters():
     assert kernel_for(PHI0).const == 0 and kernel_for(PHI0).start == 1
     assert kernel_for(PHI1).const == 1
     assert kernel_for(PSI2).const == 2 and kernel_for(PSI2).start == 2
-    assert kernel_for(PSI2).initial[7] == 2
+    # read off the tree: s(1..3) = 0, 1, 1 and, from psi2's row 2, s(4..7) = 2, 3, 3, 2
+    assert [kernel_for(f).initial for f in ENUMERABLE_POLYS] == [
+        (0, 0, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1, 2, 3, 3, 2), (0, 0, 1, 1)
+    ]
+    assert kernel_for(PHI3).start == 1 and kernel_for(PHI1).start == 1
     private = SSeqKernel(PHI0, 0, 1, (0, 0, 1, 1))
     with pytest.raises(FrozenInstanceError):
         private.const = 5
@@ -351,7 +357,7 @@ def test_fiber_of_other_quadratics_matches_full_inverses_or_their_refusal(c0, c1
     # These trees miss some pairs, e.g. (2, 0) of x^2 + 2; the fiber must refuse
     # exactly where inverting every divisor in ascending order first refuses.
     f = EnumerablePoly("f", poly(c0, c1, 1))
-    kern = SSeqKernel(f, c1, 1, (0, 0, 1, 1))
+    kern = kernel_for(f)
     for n in range(120):
         try:
             expected = {
@@ -452,7 +458,7 @@ def test_kernel_is_safe_under_concurrent_readers():
 
 def _boundary_counts(block):
     """Counts 1 .. 2**(block + 3) one off, at and one past each row start and each
-    block start k = j * 2**block, where the blocks of _blocks begin."""
+    block start k = j * 2**block, where the blocks of a row of _rows begin."""
     top = 1 << (block + 3)
     starts = {1 << r for r in range(block + 4)} | set(range(2 << block, top + 1, 1 << block))
     return sorted({k + d for k in starts for d in (-1, 0, 1)} & set(range(1, top + 1)))
@@ -462,8 +468,9 @@ def _boundary_counts(block):
 @pytest.mark.parametrize("doubled", [False, True])
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
 def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, doubled, depth):
-    # psi2's late seeds lie below index 8, inside the first fill at any block depth;
-    # doubled blocks are one level shallower
+    # the rows of _rows, cut at each count as seq cuts them; a row deeper than the
+    # block depth is filled block by block.  psi2's late seeds lie below index 8,
+    # inside the first fill at any block depth; doubled blocks are one level shallower
     monkeypatch.setattr(maps, "_BLOCK_DEPTH", depth)
     block = depth - doubled
     kern = kernel_for(f)
@@ -471,10 +478,34 @@ def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, doubled, d
     s = [0, *kern.s_prefix(2 * counts[-1] + 1)]  # s[k] is s(k)
     for count in counts:
         k = 1
-        for first, values, *rest in kern._blocks(count, doubled):
-            assert first == k and 1 <= len(values) <= max(1 << block, first)
-            assert (first + len(values) - 1).bit_length() == first.bit_length()  # one row
-            assert values == s[first : first + len(values)], (count, first)
-            assert rest == ([s[2 * first : 2 * (first + len(values)) : 2]] if doubled else [])
+        for r, row in enumerate(kern._rows(count.bit_length() - 1, doubled)):
+            values = list(islice(row, count + 1 - k))
+            assert k == 1 << r and len(values) == min(k, count + 1 - k)  # one row, whole or cut
+            ns = [n for _, n in values] if doubled else values
+            assert ns == s[k : k + len(values)], (count, k)
+            if doubled:  # the pair (s(2k) - s(k), s(k))
+                assert [m + n for m, n in values] == s[2 * k : 2 * (k + len(values)) : 2]
             k += len(values)
         assert k == count + 1
+
+
+# Monic quadratics other than the four trees, with d, the first n where
+# 0 < f(n) < f(n + 1).  The seeds (0, 0, 1, 1), or psi2's for constant -1, would
+# part from these trees at s(5), s(3), s(5), s(3) and s(5).
+@pytest.mark.parametrize("p, d", [
+    (poly(-1, 1, 1), 1), (poly(2, 0, 1), 0), (poly(-1, 4, 1), 1), (poly(5, -5, 1), 4),
+    (poly(1, -8, 1), 8),
+], ids=str)
+def test_kernel_of_other_quadratics_matches_the_tree(p, d):
+    f = EnumerablePoly("f", p)
+    kern = kernel_for(f)
+    flat = [q.n for row in tree_rows(f, 10) for q in row]
+    assert kern.s_prefix(len(flat)) == flat
+    assert (kern.start, kern.initial) == (1 << d, (0, *flat[: (4 << d) - 1]))
+
+
+@pytest.mark.parametrize("p", [poly(-2000, 0, 1), poly(1, -36, 1), poly(1, -10**9, 1)], ids=str)
+def test_kernel_refuses_seeds_past_the_node_budget(p):
+    # d = 45, 72 and 10**9: rows 0..d + 1 exceed 2^21 nodes
+    with pytest.raises(NodeBudgetExceeded):
+        kernel_for(EnumerablePoly("f", p))
