@@ -23,12 +23,12 @@ All output is deterministic; integers above 2^53 - 1 are serialized as
 decimal strings in JSON so double-parsing consumers keep exact values.
 tree, seq, inverse and fiber write bounded chunks, reading one part past each
 (_write_joined): a 4,000-letter inverse (5.7 MB of chain) peaks at 2 MB traced.
-tree --format text streams its rows from the integer tree in bounded blocks
-(maps._streamed_rows): depth 18 peaks at about 4 MB traced; only --format json
-walks the DivisorPair moves of maps.tree_rows.  seq streams whole rows of s
-(SSeqKernel._rows), the last cut at --count: seq phi0 --count 262144 peaks at
-2.1 MB traced as a b-file, 2.6 MB as json.  JSON trees and sequences share one
-row formatter on (m, n) pairs, _json_lines.
+tree --format text and seq stream rows of s in bounded blocks (SSeqKernel._rows),
+as tree pairs (s(2k) - s(k), s(k)) for text trees and JSON sequences, seq's last
+row cut at --count: tree phi0 --depth 18 --format text peaks at 2.2 MB traced,
+seq phi0 --count 262144 at 2.1 MB as a b-file and 2.6 MB as json.  Only tree
+--format json walks the DivisorPair moves of maps.tree_rows.  JSON trees and
+sequences share one row formatter on (m, n) pairs, _json_lines.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
 ENUMTREE_MAX_NODES environment variable (the flag wins).  tree, stats and
 verify rowsums check their depth against it once, by maps.check_tree_size,
@@ -46,7 +46,6 @@ from .arith import FactorLimitExceeded, divisors, is_prime
 from .maps import (
     DEFAULT_NODE_BUDGET,
     NodeBudgetExceeded,
-    _streamed_rows,
     check_tree_size,
     f_hat_inverse,
     int_tree_rows,
@@ -144,7 +143,7 @@ def _cmd_tree(args) -> int:
     f, budget = POLY_BY_NAME[args.poly], _resolve_budget(args)
     if args.format == "text":
         check_tree_size(args.depth, budget)
-        for row_idx, row in enumerate(_streamed_rows(f, args.depth)):
+        for row_idx, row in enumerate(kernel_for(f)._rows(args.depth, True)):
             sys.stdout.write("  " * row_idx)
             _write_joined((f"({m}, {n})" for m, n in row), "  ")
     else:

@@ -57,10 +57,6 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 1 << 21
 
-# Rows deeper than this are streamed in blocks of this depth (_streamed_rows, and
-# SSeqKernel._rows, which reads it at call time).
-_BLOCK_DEPTH = 14
-
 
 class NodeBudgetExceeded(RuntimeError):
     """Tree generation was asked for more nodes than the configured budget."""
@@ -209,25 +205,6 @@ def _int_rows(b: int, row: list[tuple[int, int]], cofs: list[int], depth: int):
             child_cofs += (_shifted_cofactor(q, n, b, 1, m), c if r > 0 else -c)
         row, cofs = children, child_cofs
         yield row, cofs
-
-
-def _last(rows):
-    for last in rows:
-        pass
-    return last
-
-
-def _streamed_rows(f: EnumerablePoly, depth: int):
-    """Rows 0..depth of the tree of f as iterables of (m, n), to be used up one
-    at a time.  Rows to depth _BLOCK_DEPTH come from one walk; a deeper row r is
-    the level _BLOCK_DEPTH below each node of row r - _BLOCK_DEPTH, built again,
-    so about 3 * 2**_BLOCK_DEPTH nodes are live (up to depth 2 * _BLOCK_DEPTH,
-    past the default node budget).  Sizes are not checked."""
-    b, c, root = f.beta, _BLOCK_DEPTH, ([(1, 0)], [f.poly(0)])
-    yield from (row for row, _ in _int_rows(b, *root, min(depth, c)))
-    for r in range(c + 1, depth + 1):
-        tops, top_cofs = _last(_int_rows(b, *root, r - c))
-        yield (p for top, q in zip(tops, top_cofs) for p in _last(_int_rows(b, [top], [q], c))[0])
 
 
 def int_tree_rows(

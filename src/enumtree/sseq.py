@@ -63,6 +63,10 @@ __all__ = [
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
 
+# Rows deeper than this are streamed in blocks of this depth (SSeqKernel._rows,
+# which reads it at call time).
+_BLOCK_DEPTH = 14
+
 L_MATRIX: Mat3 = ((0, 1, 0), (-1, 2, 0), (0, 2, 1))
 R_MATRIX: Mat3 = ((0, 0, 1), (0, 1, 2), (-1, 0, 2))
 
@@ -115,26 +119,28 @@ class SSeqKernel(Record):
 
     def _rows(self, depth: int, doubled: bool = False) -> Iterator[Iterable]:
         """Rows 0..depth of s as iterables used once, row r holding s(2**r), ...,
-        s(2**(r + 1) - 1); with doubled, the tree pairs (s(2k) - s(k), s(k)) instead.
-        Rows to depth c = maps._BLOCK_DEPTH (one less with doubled) come from one
-        s_prefix; a deeper row r is the level c below each node j of row r - c, filled
-        again from _triple(j), so about 2**(maps._BLOCK_DEPTH + 1) values are live at
-        any depth.  depth is not checked."""
-        c = maps._BLOCK_DEPTH - doubled
+        s(2**(r + 1) - 1); with doubled, the tree pairs (s(2k) - s(k), s(k)) instead, as
+        tree --format text and seq --format json print them.  With c = _BLOCK_DEPTH (one
+        less with doubled) and start = 2**d, rows to depth max(c, d) come from one s_prefix;
+        a deeper row r is the level r - t below each node j of row t = max(r - c, d), filled
+        again from _triple(j), so j >= start; while d <= c, about 2**(_BLOCK_DEPTH + 1)
+        values are live at any depth.  depth is not checked."""
+        c, d = _BLOCK_DEPTH - doubled, self.start.bit_length() - 1
 
         def level(vals, lo):  # slots lo .. 2 * lo - 1, and for doubled their doubles
             ns = vals[lo : 2 * lo]
             return zip(map(sub, vals[2 * lo : 4 * lo : 2], ns), ns) if doubled else ns
 
-        head = min(depth, c)
+        head = min(depth, max(c, d))
         vals = [0, *self.s_prefix((2 << head << doubled) - 1)]
         yield from (level(vals, 1 << r) for r in range(head + 1))
         del vals  # not kept while the deeper rows are filled
-        lo = 1 << c
-        for r in range(c + 1, depth + 1):
-            tops = range(1 << (r - c), 2 << (r - c))
+        for r in range(head + 1, depth + 1):
+            t = max(r - c, d)
+            lo = 1 << (r - t)
             yield chain.from_iterable(
-                level(self._fill((2 * lo << doubled) - 1, self._triple(j)), lo) for j in tops
+                level(self._fill((2 * lo << doubled) - 1, self._triple(j)), lo)
+                for j in range(1 << t, 2 << t)
             )
 
     def pair_at(self, k: int) -> DivisorPair:
@@ -173,8 +179,9 @@ class SSeqKernel(Record):
 
 def kernel_for(f: EnumerablePoly) -> SSeqKernel:
     """The kernel of f's sequence, read off f and its tree (module docstring)."""
-    deep = DEFAULT_NODE_BUDGET.bit_length()  # a d this deep, int_tree_rows refuses
+    deep = DEFAULT_NODE_BUDGET.bit_length()  # a d this deep has seed rows past the budget
     d = next((n for n in range(deep) if 0 < f.poly(n) < f.poly(n + 1)), deep)
+    check_tree_size(d + 1, DEFAULT_NODE_BUDGET, f"{f.poly}: seed row")
     seeds = (n for row in maps.int_tree_rows(f, d + 1) for _, n in row)
     return SSeqKernel(f, f.beta, 1 << d, (0, *seeds))
 

@@ -777,8 +777,8 @@ def _sha256(lines) -> str:
 
 
 def _peak_and_digest(monkeypatch, block, argv):
-    """tracemalloc peak and stdout SHA-256 of main(argv) at maps._BLOCK_DEPTH = block."""
-    monkeypatch.setattr(maps, "_BLOCK_DEPTH", block)
+    """tracemalloc peak and stdout SHA-256 of main(argv) at sseq._BLOCK_DEPTH = block."""
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", block)
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -792,8 +792,9 @@ def _peak_and_digest(monkeypatch, block, argv):
 
 
 def test_text_tree_memory_is_bounded(monkeypatch):
-    # depth 14: 32,767 nodes, 0.5 MB of text; about 1.0 MB traced streamed, 3.6 MB
-    # in one block and 3.1 MB at the commit before the streamer
+    # depth 14: 32,767 nodes, 0.5 MB of text; about 0.65 MB traced streamed, 2.0 MB
+    # at block depth 14 (rows 0..13 and their doubles from one fill) and 3.1 MB at
+    # the commit before the streamer
     depth = 14
     expected = _sha256(
         "  " * r + "  ".join(map(str, row)) + "\n" for r, row in enumerate(tree_rows(PHI0, depth))

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enumtree import maps
+from enumtree import sseq
 from enumtree.maps import (
     NodeBudgetExceeded,
     _peel,
-    _streamed_rows,
     f_hat,
     f_hat_inverse,
     f_hat_via_action,
@@ -46,6 +45,7 @@ from enumtree.pairs import (
     s_bar,
     t_bar,
 )
+from enumtree.sseq import kernel_for
 from oracles import trial_divisors, trial_tau
 
 words = st.text(alphabet=st.sampled_from("ST"), max_size=40)
@@ -260,14 +260,19 @@ def test_tree_budget_enforced():
     assert len(list(ok)) == 4
 
 
+# Monic quadratics other than the four trees; each has f(n) < 0 at some n >= 1,
+# and x^2 - 5x + 5 and x^2 - 8x + 1 have kernels starting at 16 and 256.
+_OTHER_QUADRATICS = [poly(-1, 1, 1), poly(2, 0, 1), poly(-1, 4, 1), poly(5, -5, 1), poly(1, -8, 1)]
+_TREES = (*ENUMERABLE_POLYS, *(EnumerablePoly("f", p) for p in _OTHER_QUADRATICS))
+
+
 def test_int_tree_rows_are_the_tree_rows_components():
-    # the other quadratics have f(n) < 0 at some n >= 1, where a right child is
-    # c_bar's (|r|, n), r its signed cofactor; x^2 - 8x + 1 has (6, 1) at index 3
-    others = [poly(-1, 1, 1), poly(2, 0, 1), poly(-1, 4, 1), poly(5, -5, 1), poly(1, -8, 1)]
-    for f in (*ENUMERABLE_POLYS, *(EnumerablePoly("f", p) for p in others)):
+    # where f(n) < 0 a right child is c_bar's (|r|, n), r its signed cofactor;
+    # x^2 - 8x + 1 has (6, 1) at index 3
+    for f in _TREES:
         for ints, pairs in zip(int_tree_rows(f, 9), tree_rows(f, 9), strict=True):
             assert ints == [p.components() for p in pairs]
-    assert list(int_tree_rows(EnumerablePoly("f", others[-1]), 1))[1] == [(1, 1), (6, 1)]
+    assert list(int_tree_rows(_TREES[-1], 1))[1] == [(1, 1), (6, 1)]
     # both checks happen at the call, before any row is produced
     with pytest.raises(NodeBudgetExceeded):
         int_tree_rows(PHI0, 10, max_nodes=100)
@@ -308,15 +313,16 @@ def test_f_hat_is_the_replay_or_refuses():
     assert (trees, covered) == (783, 18)
 
 
-@pytest.mark.parametrize("block", [0, 1, 3, maps._BLOCK_DEPTH])
+@pytest.mark.parametrize("block", [1, 2, 3, sseq._BLOCK_DEPTH])
 @pytest.mark.parametrize("depth", [0, 2, 13])
 def test_streamed_rows_are_the_int_tree_rows(monkeypatch, block, depth):
-    # rows deeper than the block depth are built again below the nodes of an
-    # upper row; psi2's root cofactor is -1
-    monkeypatch.setattr(maps, "_BLOCK_DEPTH", block)
-    for f in ENUMERABLE_POLYS:
-        streamed = [list(row) for row in _streamed_rows(f, depth)]
-        assert streamed == list(int_tree_rows(f, depth))
+    # the kernel's pair rows, which tree --format text prints; rows deeper than the
+    # block depth are filled again below the nodes of an upper row, never below
+    # a node before the kernel's start; psi2's root cofactor is -1
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", block)
+    for f in _TREES:
+        streamed = [list(row) for row in kernel_for(f)._rows(depth, True)]
+        assert streamed == list(int_tree_rows(f, depth)), f.poly
 
 
 def test_boundary_law():

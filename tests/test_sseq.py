@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enumtree import maps
+from enumtree import sseq
 from enumtree.arith import divisors
 from enumtree.maps import NodeBudgetExceeded, f_hat, f_hat_inverse, int_tree_rows, tree_rows
 from enumtree.monoid import index_to_word, word_to_matrix
@@ -464,14 +464,14 @@ def _boundary_counts(block):
     return sorted({k + d for k in starts for d in (-1, 0, 1)} & set(range(1, top + 1)))
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, maps._BLOCK_DEPTH])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, sseq._BLOCK_DEPTH])
 @pytest.mark.parametrize("doubled", [False, True])
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
 def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, doubled, depth):
     # the rows of _rows, cut at each count as seq cuts them; a row deeper than the
     # block depth is filled block by block.  psi2's late seeds lie below index 8,
     # inside the first fill at any block depth; doubled blocks are one level shallower
-    monkeypatch.setattr(maps, "_BLOCK_DEPTH", depth)
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", depth)
     block = depth - doubled
     kern = kernel_for(f)
     counts = _boundary_counts(block)
@@ -506,6 +506,8 @@ def test_kernel_of_other_quadratics_matches_the_tree(p, d):
 
 @pytest.mark.parametrize("p", [poly(-2000, 0, 1), poly(1, -36, 1), poly(1, -10**9, 1)], ids=str)
 def test_kernel_refuses_seeds_past_the_node_budget(p):
-    # d = 45, 72 and 10**9: rows 0..d + 1 exceed 2^21 nodes
-    with pytest.raises(NodeBudgetExceeded):
+    # d = 45, 72 and 10**9: rows 0..d + 1 exceed 2^21 nodes; d is searched to 22,
+    # so the refusal names f and its seed rows 0..23
+    message = f"{p}: seed row 23 needs 16777215 nodes, budget is 2097152"
+    with pytest.raises(NodeBudgetExceeded, match=f"^{re.escape(message)}$"):
         kernel_for(EnumerablePoly("f", p))
