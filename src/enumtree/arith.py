@@ -182,17 +182,12 @@ def tau(n: int) -> int:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo prime p, or None if a is a non-residue.
-
-    Tonelli-Shanks; the p % 4 == 3 shortcut avoids the loop where possible.
-    """
+    """A square root of a modulo prime p, or None if a is a non-residue; Tonelli-Shanks."""
     a %= p
     if p == 2 or a == 0:
         return a
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2

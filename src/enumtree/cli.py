@@ -349,8 +349,8 @@ def _suite_recursions(bound: int):
         for k in range(kernel.start, (1 << depth) + 1):
             ok = (
                 s[4 * k] == 2 * s[2 * k] - s[k]
-                and s[4 * k + 1] == 2 * s[2 * k] + s[2 * k + 1] + kernel.const
-                and s[4 * k + 2] == 2 * s[2 * k + 1] + s[2 * k] + kernel.const
+                and s[4 * k + 1] == 2 * s[2 * k] + s[2 * k + 1] + f.beta
+                and s[4 * k + 2] == 2 * s[2 * k + 1] + s[2 * k] + f.beta
                 and s[4 * k + 3] == 2 * s[2 * k + 1] - s[k]
             )
             if not ok:

@@ -18,9 +18,10 @@ call, and kernels compare, hash and pickle by value like every other record.
 
 The whole pair tree is recoverable from s alone: the k-th breadth-first pair
 is (s(2k) - s(k), s(k)).  For x^2 + 1 there is additionally a 3-vector form:
-node k carries v = (s(k), s(2k), s(2k+1)), with children L*v and R*v for the
-integer matrices L_MATRIX and R_MATRIX below, and the pair recovered from
-v = (a, b, c) as (b - a, a).
+node k carries v = (s(k), s(2k), s(2k+1)), read off two consecutive kernel
+rows, and the pair is recovered from v = (a, b, c) as (b - a, a).  Its
+children are L*v and R*v for the integer matrices L_MATRIX and R_MATRIX
+below, a property the tests check.
 
 All four branches are written once, in net_expand.  Pointwise values come
 from a digit walk: start at the seed triple (s(j), s(2j), s(2j+1)) of the
@@ -40,7 +41,7 @@ even indices.  At n = 0 the root (1, 0) is no min side, so every divisor is
 reduced there.
 """
 
-from itertools import chain, islice
+from itertools import chain, islice, pairwise
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -49,7 +50,7 @@ from ._record import Record
 from .arith import divisors
 from .maps import DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
 from .monoid import mirror_index
-from .pairs import DivisorPair, EnumerablePoly, make_pair
+from .pairs import PHI0, DivisorPair, EnumerablePoly, make_pair
 
 __all__ = [
     "SSeqKernel",
@@ -74,11 +75,12 @@ R_MATRIX: Mat3 = ((0, 0, 1), (0, 1, 2), (-1, 0, 2))
 class SSeqKernel(Record):
     """Recursion kernel of one tree's second-component sequence.
 
-    The recursion holds for k >= start; initial is the tuple of seeds in heap
-    order, slot k holding s(k) for k < 4 * start (slot 0 is unused).
+    The recursion holds for k >= start, with the constant poly.beta; initial is
+    the tuple of seeds in heap order, slot k holding s(k) for k < 4 * start (slot
+    0 is unused).
     """
 
-    __slots__ = ("poly", "const", "start", "initial")
+    __slots__ = ("poly", "start", "initial")
 
     def _triple(self, k: int) -> Vec3:
         """(s(k), s(2k), s(2k+1)) by the digit walk from k's seed node."""
@@ -87,7 +89,7 @@ class SSeqKernel(Record):
         digits = bin(k)[2:]
         head = min(len(digits), self.start.bit_length())
         j = int(digits[:head], 2)
-        seed, const = self.initial, self.const
+        seed, const = self.initial, self.poly.beta
         a, b, c = seed[j], seed[2 * j], seed[2 * j + 1]
         for digit in digits[head:]:
             w, x, y, z = net_expand(a, b, c, const)
@@ -105,7 +107,7 @@ class SSeqKernel(Record):
             first, vals = self.start, list(self.initial)
         else:
             first, vals = 1, [0, *top]
-        const, kids = self.const, islice(vals, 2 * first, None)
+        const, kids = self.poly.beta, islice(vals, 2 * first, None)
         # vals grows as it is read: slots k, 2k and 2k + 1 expand to slots 4k .. 4k + 3
         for _, a, b, c in zip(range(first, stop // 4 + 1), islice(vals, first, None), kids, kids):
             vals += net_expand(a, b, c, const)
@@ -183,7 +185,7 @@ def kernel_for(f: EnumerablePoly) -> SSeqKernel:
     d = next((n for n in range(deep) if 0 < f.poly(n) < f.poly(n + 1)), deep)
     check_tree_size(d + 1, DEFAULT_NODE_BUDGET, f"{f.poly}: seed row")
     seeds = (n for row in maps.int_tree_rows(f, d + 1) for _, n in row)
-    return SSeqKernel(f, f.beta, 1 << d, (0, *seeds))
+    return SSeqKernel(f, 1 << d, (0, *seeds))
 
 
 def vector_tree_rows(
@@ -191,23 +193,13 @@ def vector_tree_rows(
 ) -> Iterator[list[Vec3]]:
     """Rows 0..depth of the 3-vector tree for x^2 + 1, breadth first.
 
-    Root (0, 1, 1); left child L*v, right child R*v.  The node at index k is
-    (s(k), s(2k), s(2k+1)) and (a, b, c) -> (b - a, a) recovers the pair tree.
+    The node at index k is (s(k), s(2k), s(2k+1)), read off rows r and r + 1 of
+    x^2 + 1's kernel; (a, b, c) -> (b - a, a) recovers the pair tree.  The
+    children of v are L*v and R*v, a property the tests check.
     """
     check_tree_size(depth, max_nodes)
-
-    def rows() -> Iterator[list[Vec3]]:
-        row: list[Vec3] = [(0, 1, 1)]
-        yield row
-        for _ in range(depth):
-            children: list[Vec3] = []
-            for a, b, c in row:
-                w, x, y, z = net_expand(a, b, c)
-                children += ((b, w, x), (c, y, z))  # L*v, R*v
-            row = children
-            yield row
-
-    return rows()
+    rows = pairwise(map(list, kernel_for(PHI0)._rows(depth + 1)))
+    return ([*zip(a, b[::2], b[1::2])] for a, b in rows)
 
 
 def net_expand(a: int, b: int, c: int, const: int = 0) -> tuple[int, int, int, int]:

@@ -176,6 +176,14 @@ def test_sqrt_mod_exhaustive_small_primes():
                 assert r is None, (a, p)
 
 
+def test_sqrt_mod_matches_the_p_3_mod_4_formula():
+    # for p = 3 (mod 4), Tonelli-Shanks has s = 1 and returns a^((p + 1) / 4) itself
+    for p in primes_up_to(2000):
+        if p % 4 == 3:
+            for a in {x * x % p for x in range(p)}:
+                assert sqrt_mod(a, p) == pow(a, (p + 1) // 4, p), (a, p)
+
+
 def test_sqrt_mod_large_prime():
     p = 2**61 - 1
     a = 1234567890123456789 % p

@@ -100,15 +100,19 @@ def test_equivariance(w, f):
 
 
 def test_closed_form_agrees_with_replay_to_depth_14():
+    # the matrix tree in heap order, built once for the four trees: node k has
+    # children S*A at 2k and T*A at 2k + 1
+    mats = [None, IDENTITY]
+    for k in range(1, 1 << 14):
+        mats += (mat_mul(GEN_S, mats[k]), mat_mul(GEN_T, mats[k]))
     for f in ENUMERABLE_POLYS:
         flat = [p for row in tree_rows(f, 14) for p in row]
         for k, p in enumerate(flat, start=1):
-            x = word_to_matrix(index_to_word(k))
-            assert f_hat(f, x) == p
+            assert f_hat(f, mats[k]) == p
         # spot check the explicit replay route on a sparse sample
         for k in range(1, 1 << 8):
             x = word_to_matrix(index_to_word(k))
-            assert f_hat_via_action(f, x) == f_hat(f, x)
+            assert x == mats[k] and f_hat_via_action(f, x) == f_hat(f, x)
 
 
 def test_inverse_worked_example():

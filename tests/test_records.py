@@ -27,7 +27,7 @@ def _pair(m, n):
 
 
 def _kernel():
-    return SSeqKernel(poly=PHI0, const=0, start=1, initial=(0, 0, 1, 1))
+    return SSeqKernel(poly=PHI0, start=1, initial=(0, 0, 1, 1))
 
 
 # Each record built by keyword, twice, and a record of the same class that
@@ -75,9 +75,9 @@ VALUE_RECORDS = [
     ),
     (
         _kernel,
-        SSeqKernel(poly=PHI0, const=1, start=1, initial=(0, 0, 1, 1)),
+        SSeqKernel(poly=PHI0, start=2, initial=(0, 0, 1, 1)),
         "SSeqKernel(poly=EnumerablePoly(name='phi0', poly=Poly(coeffs=(1, 0, 1))),"
-        " const=0, start=1, initial=(0, 0, 1, 1))",
+        " start=1, initial=(0, 0, 1, 1))",
     ),
 ]
 

@@ -137,8 +137,8 @@ def test_two_regular_branch_identities_exhaustive():
         s = lambda j: vals[j - 1]
         for k in range(kern.start, bound + 1):
             assert s(4 * k) == 2 * s(2 * k) - s(k)
-            assert s(4 * k + 1) == 2 * s(2 * k) + s(2 * k + 1) + kern.const
-            assert s(4 * k + 2) == 2 * s(2 * k + 1) + s(2 * k) + kern.const
+            assert s(4 * k + 1) == 2 * s(2 * k) + s(2 * k + 1) + f.beta
+            assert s(4 * k + 2) == 2 * s(2 * k + 1) + s(2 * k) + f.beta
             assert s(4 * k + 3) == 2 * s(2 * k + 1) - s(k)
 
 
@@ -234,17 +234,15 @@ def test_row_m_sums_follow_the_derived_recursion(f):
 
 
 def test_kernel_parameters():
-    assert kernel_for(PHI0).const == 0 and kernel_for(PHI0).start == 1
-    assert kernel_for(PHI1).const == 1
-    assert kernel_for(PSI2).const == 2 and kernel_for(PSI2).start == 2
+    assert kernel_for(PHI0).start == 1 and kernel_for(PSI2).start == 2
     # read off the tree: s(1..3) = 0, 1, 1 and, from psi2's row 2, s(4..7) = 2, 3, 3, 2
     assert [kernel_for(f).initial for f in ENUMERABLE_POLYS] == [
         (0, 0, 1, 1), (0, 0, 1, 1), (0, 0, 1, 1, 2, 3, 3, 2), (0, 0, 1, 1)
     ]
     assert kernel_for(PHI3).start == 1 and kernel_for(PHI1).start == 1
-    private = SSeqKernel(PHI0, 0, 1, (0, 0, 1, 1))
+    private = SSeqKernel(PHI0, 1, (0, 0, 1, 1))
     with pytest.raises(FrozenInstanceError):
-        private.const = 5
+        private.start = 5
 
 
 def test_vector_tree_first_rows():
@@ -257,7 +255,7 @@ def test_vector_tree_first_rows():
     def matvec(m, v):
         return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
 
-    rows = list(vector_tree_rows(8))
+    rows = list(vector_tree_rows(15))  # rows 15 and 16 of s come from _rows' blocks
     for parents, children in zip(rows, rows[1:]):
         for j, v in enumerate(parents):
             assert matvec(L_MATRIX, v) == children[2 * j]
@@ -306,7 +304,7 @@ def test_net_generates_second_component_tree():
             for j, a in enumerate(rows[k]):
                 b, c = rows[k + 1][2 * j], rows[k + 1][2 * j + 1]
                 grand = rows[k + 2][4 * j : 4 * j + 4]
-                assert net_expand(a, b, c, const=kernel_for(f).const) == tuple(grand)
+                assert net_expand(a, b, c, const=f.beta) == tuple(grand)
 
 
 def test_l_r_matrices_det_and_conjugacy():
