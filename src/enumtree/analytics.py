@@ -20,12 +20,13 @@ equal-valued adjacent factors are deliberately left uncancelled.
 """
 
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ._record import Record
 from .arith import is_prime, primes_up_to, sqrt_mod
-from .maps import DEFAULT_NODE_BUDGET, f_hat_inverse, int_tree_rows
+from .maps import DEFAULT_NODE_BUDGET, check_tree_size, f_hat_inverse
 from .pairs import BadPair, EnumerablePoly, make_pair
+from .sseq import kernel_for
 
 if TYPE_CHECKING:  # fractions is imported where a Fraction is built
     from fractions import Fraction
@@ -49,18 +50,20 @@ class RowStats(Record):
     __slots__ = ("k", "m_sum", "n_sum", "ratio_sum")
 
 
-def row_stats(k: int, row: list[tuple[int, int]]) -> RowStats:
-    """Sums over row k given as its (m, n) pairs, by direct summation.
+def row_stats(k: int, row: Iterable[tuple[int, int]]) -> RowStats:
+    """Sums over row k given as its (m, n) pairs, read once, by direct summation.
 
-    One dict pass adds the n sharing a denominator m as integers; the terms
+    One pass adds up the m and, in one dict, the n sharing a denominator m; the terms
     N_m / m are then summed as a balanced binary tree, merged like a binary
     counter (after the i-th term the stack holds one partial sum per set bit of
     i), as reduced integer pairs added as Fraction.__add__ does (Knuth, TAOCP 4.5.1).
     """
     from fractions import Fraction
     groups: dict[int, int] = {}
+    m_sum = 0
     for m, n in row:
         groups[m] = groups.get(m, 0) + n
+        m_sum += m
     stack: list[tuple[int, int]] = []
     for i, (db, nb) in enumerate(groups.items(), 1):
         g = gcd(nb, db)
@@ -74,14 +77,15 @@ def row_stats(k: int, row: list[tuple[int, int]]) -> RowStats:
             i >>= 1
         stack.append((nb, db))
     ratio_sum = sum((Fraction(*term) for term in reversed(stack)), Fraction(0))
-    return RowStats(k, sum(m for m, _ in row), sum(groups.values()), ratio_sum)
+    return RowStats(k, m_sum, sum(groups.values()), ratio_sum)
 
 
 def row_stats_direct(
     f: EnumerablePoly, k: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> RowStats:
-    """Sums over row k of the tree of f, by direct summation."""
-    for row in int_tree_rows(f, k, max_nodes):
+    """Sums over row k of the tree of f: the last of the kernel's pair rows 0..k."""
+    check_tree_size(k, max_nodes)
+    for row in kernel_for(f)._rows(k, True):
         pass
     return row_stats(k, row)
 
@@ -95,16 +99,13 @@ def row_stats_recursive(k: int) -> RowStats:
     from fractions import Fraction
     if k < 0:
         raise ValueError(f"row index must be >= 0, got {k}")
-    m_prev, m_cur = 1, 3
-    n_prev, n_cur = 0, 2
+    m_prev, m_cur = 1, 1  # M_-1 and M_0, so that M_1 = 5 - 2 = 3
+    n_prev, n_cur = -1, 0  # N_-1 and N_0, so that N_1 = 0 + 2 = 2
     r = Fraction(0)
     for j in range(1, k + 1):
         r += Fraction(3 * (1 << j), 4)
-        if j >= 2:
-            m_prev, m_cur = m_cur, 5 * m_cur - 2 * m_prev
-            n_prev, n_cur = n_cur, 5 * n_cur - 2 * n_prev
-    if k == 0:
-        return RowStats(0, 1, 0, Fraction(0))
+        m_prev, m_cur = m_cur, 5 * m_cur - 2 * m_prev
+        n_prev, n_cur = n_cur, 5 * n_cur - 2 * n_prev
     return RowStats(k, m_cur, n_cur, r)
 
 
@@ -163,15 +164,12 @@ def roots_mod_p(f: EnumerablePoly, p: int) -> list[int]:
     """All n in [0, p) with f(n) == 0 mod p, via a modular square root.
 
     f is monic quadratic, so completing the square reduces the congruence to
-    one Tonelli-Shanks call on the discriminant.
+    one Tonelli-Shanks call on the discriminant, which checks that p is prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     c0, beta, _ = f.poly.coeffs
+    r = sqrt_mod(beta * beta - 4 * c0, p)
     if p == 2:
         return [n for n in (0, 1) if (n * n + beta * n + c0) % 2 == 0]
-    disc = (beta * beta - 4 * c0) % p
-    r = sqrt_mod(disc, p)
     if r is None:
         return []
     inv2 = pow(2, -1, p)

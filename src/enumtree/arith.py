@@ -182,7 +182,9 @@ def tau(n: int) -> int:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo prime p, or None if a is a non-residue; Tonelli-Shanks."""
+    """A square root of a mod p (a checked prime), or None for a non-residue; Tonelli-Shanks."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     a %= p
     if p == 2 or a == 0:
         return a
@@ -192,10 +194,11 @@ def sqrt_mod(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    m, t, r = s, pow(a, q, p), pow(a, (q + 1) // 2, p)
+    z = 2  # a non-residue, searched for only while t != 1 (never for p = 3 mod 4)
+    while t != 1 and pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    c = pow(z, q, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:

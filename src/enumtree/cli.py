@@ -23,12 +23,12 @@ All output is deterministic; integers above 2^53 - 1 are serialized as
 decimal strings in JSON so double-parsing consumers keep exact values.
 tree, seq, inverse and fiber write bounded chunks, reading one part past each
 (_write_joined): a 4,000-letter inverse (5.7 MB of chain) peaks at 2 MB traced.
-tree --format text and seq stream rows of s in bounded blocks (SSeqKernel._rows),
-as tree pairs (s(2k) - s(k), s(k)) for text trees and JSON sequences, seq's last
-row cut at --count: tree phi0 --depth 18 --format text peaks at 2.2 MB traced,
-seq phi0 --count 262144 at 2.1 MB as a b-file and 2.6 MB as json.  Only tree
---format json walks the DivisorPair moves of maps.tree_rows.  JSON trees and
-sequences share one row formatter on (m, n) pairs, _json_lines.
+tree --format text, seq, stats and verify rowsums stream rows of s in bounded blocks
+(SSeqKernel._rows), as pairs (s(2k) - s(k), s(k)) but in b-files, seq's last row cut
+at --count: tree phi0 --depth 18 --format text peaks at 2.2 MB traced, seq phi0 --count
+262144 at 2.1 / 2.6 MB (b-file / json), stats phi0 --kmax 20 and verify rowsums --bound
+20 at 85 MB RSS (a dict of row 20's distinct m).  Only tree --format json walks the
+DivisorPair moves of maps.tree_rows; JSON trees and sequences share _json_lines.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
 ENUMTREE_MAX_NODES environment variable (the flag wins).  tree, stats and
 verify rowsums check their depth against it once, by maps.check_tree_size,
@@ -240,9 +240,8 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
 
 
 def _cmd_stats(args) -> int:
-    budget = _resolve_budget(args)
-    check_tree_size(args.kmax, budget, "kmax")
-    for k, row in enumerate(int_tree_rows(POLY_BY_NAME[args.poly], args.kmax, budget)):
+    check_tree_size(args.kmax, _resolve_budget(args), "kmax")
+    for k, row in enumerate(kernel_for(POLY_BY_NAME[args.poly])._rows(args.kmax, True)):
         st = analytics.row_stats(k, row)
         if args.format == "json":
             print(
@@ -363,7 +362,7 @@ def _suite_rowsums(bound: int):
     from fractions import Fraction
     checked, failures = 0, []
     check_tree_size(bound, DEFAULT_NODE_BUDGET, "bound")
-    for k, row in enumerate(int_tree_rows(PHI0, bound)):
+    for k, row in enumerate(kernel_for(PHI0)._rows(bound, True)):
         direct = analytics.row_stats(k, row)
         rec = analytics.row_stats_recursive(k)
         if direct != rec:

@@ -121,8 +121,8 @@ class SSeqKernel(Record):
 
     def _rows(self, depth: int, doubled: bool = False) -> Iterator[Iterable]:
         """Rows 0..depth of s as iterables used once, row r holding s(2**r), ...,
-        s(2**(r + 1) - 1); with doubled, the tree pairs (s(2k) - s(k), s(k)) instead, as
-        tree --format text and seq --format json print them.  With c = _BLOCK_DEPTH (one
+        s(2**(r + 1) - 1); with doubled, the tree pairs (s(2k) - s(k), s(k)), which text
+        trees, JSON sequences, stats and verify rowsums read.  With c = _BLOCK_DEPTH (one
         less with doubled) and start = 2**d, rows to depth max(c, d) come from one s_prefix;
         a deeper row r is the level r - t below each node j of row t = max(r - c, d), filled
         again from _triple(j), so j >= start; while d <= c, about 2**(_BLOCK_DEPTH + 1)

@@ -56,6 +56,12 @@ def test_row_stats_matches_the_term_by_term_oracle(f):
         assert (st.m_sum, st.n_sum) == (sum(m for m, _ in row), sum(n for _, n in row))
 
 
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_row_stats_reads_its_row_once(f):
+    for k, row in enumerate(int_tree_rows(f, 10)):
+        assert row_stats(k, iter(row)) == row_stats(k, row), k
+
+
 def test_row_stats_on_a_row_with_repeated_m_and_a_zero_n():
     row = [(6, 4), (1, 0), (6, 9), (4, 2), (6, 0), (9, 6), (4, 6), (3, 0), (9, 3)]
     st = row_stats(7, row)

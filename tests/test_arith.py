@@ -42,6 +42,9 @@ PSI = [
 
 def test_is_prime_stops_at_the_published_psi_bounds():
     assert list(arith._PSI) == PSI
+    # psi_t is a bound for the first t primes as bases, and for no others
+    assert arith._MR_BASES == tuple(primes_up_to(41))
+    assert len(arith._MR_BASES) == len(PSI)
     # each psi_t passes the rounds before the t-th stop, so a <= there would call it prime
     for t, psi in enumerate(PSI, 1):
         assert not is_prime(psi), t
@@ -182,6 +185,14 @@ def test_sqrt_mod_matches_the_p_3_mod_4_formula():
         if p % 4 == 3:
             for a in {x * x % p for x in range(p)}:
                 assert sqrt_mod(a, p) == pow(a, (p + 1) // 4, p), (a, p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 21, 25, 33, 65, 105, 561, -7])
+def test_sqrt_mod_refuses_a_modulus_that_is_not_prime(p):
+    # for 9, 21, 25, 33, 65, 105 and 561 no z passes the non-residue test, so a
+    # search for one would never end
+    with pytest.raises(ValueError, match=f"{p} is not prime"):
+        sqrt_mod(1, p)
 
 
 def test_sqrt_mod_large_prime():

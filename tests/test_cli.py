@@ -75,6 +75,8 @@ def test_tree_depth_zero(capsys):
     assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
     assert recs == [{"index": 1, "m": 1, "n": 0, "word": "", "row": 0}]
+    # the root alone fits a budget of one node
+    assert run(capsys, "tree", "phi0", "--depth", "0", "--max-nodes", "1") == (0, out, "")
 
 
 def test_tree_text(capsys):
@@ -110,6 +112,11 @@ def test_nonpositive_max_nodes_is_usage_error(capsys, argv, value):
     code, out, err = run(capsys, *argv, "--max-nodes", value)
     assert (code, out) == (2, "")
     assert err == f"error: --max-nodes must be a positive integer, got {value}\n"
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: enumtree")
 
 
 def test_unknown_polynomial_is_usage_error(capsys):
@@ -243,10 +250,12 @@ def test_stats_text_and_json(capsys):
 
 
 def _no_row_walks(monkeypatch):
+    # rows come from the cofactor shift (maps._int_rows) or the kernel's fills
     def walk(*args):
         raise AssertionError("a tree row was walked")
 
     monkeypatch.setattr(maps, "_int_rows", walk)
+    monkeypatch.setattr(sseq.SSeqKernel, "_fill", walk)
 
 
 def test_stats_refuses_before_any_row(capsys, monkeypatch):
@@ -560,6 +569,10 @@ GOLDEN_STATS_SHA256 = [
     ("phi3", "12", "text", "f53c6dbe18337e5463167e4b6fd501d335ca071c4acab42c6110fb070adf206e"),
     ("phi3", "12", "json", "b30cf1e21a1333d5b1320b7ab11b5e4c408317e98a9840835dfa77b80ef06bbf"),
     ("phi0", "14", "json", "411c198efe0d00a124377ce6ee94a826d419435d3fa2a2b5de8cd072c7a7cb26"),
+    # recorded from the CLI that summed whole rows of maps.int_tree_rows; rows
+    # 14..16 lie past the doubled block depth, so they come from filled tops
+    ("phi0", "16", "text", "e553953d620dac0877e7d58cc74385974a70212666a9e425e522a4d17bd71cfd"),
+    ("phi0", "16", "json", "8a20fa0fa82b738489e9ab201160ba1af97a6be2504754fd5ec01117ed300ffd"),
 ]
 GOLDEN_FIBER_SHA256 = [
     ("phi0", "10", "beccc80fd56d9d0d4bf9d0313d1b3ba1ebf93a0224b790454f12a992e6bf7be5"),
@@ -866,6 +879,29 @@ def test_verify_matches_golden_hash(capsys, suite, digest):
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0 and json.loads(out)["failures"] == []
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_rowsums_past_the_doubled_block_depth_matches_golden_hash(capsys):
+    # recorded from the CLI that summed whole rows of maps.int_tree_rows
+    code, out, _ = run(capsys, "verify", "rowsums", "--bound", "16")
+    assert code == 0 and json.loads(out)["failures"] == []
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ce934ad554e6325f0d78807b9eb8abe3920d8e3100db1edc3e361174a1559e55"
+    )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("stats phi0 --kmax 14", "d1b400d52ad6f5afb262e3daa1a4c8c258538ab09c9801653140fc069b57f4af"),
+    ("verify rowsums", GOLDEN_VERIFY_SHA256[5][1]),
+], ids=["stats", "verify-rowsums"])
+def test_row_sums_memory_is_bounded(monkeypatch, argv, digest):
+    # rows 0..14 of phi0 (verify rowsums' default bound): about 0.85 MB traced
+    # streamed, 3.7 MB at block depth 15 (rows 0..14 and their doubles from one
+    # fill) and 3.6 MB at the commit that summed whole rows of maps.int_tree_rows
+    streamed = _peak_and_digest(monkeypatch, _SMALL_BLOCK_DEPTH, argv.split())
+    whole = _peak_and_digest(monkeypatch, 15, argv.split())
+    assert streamed[1] == whole[1] == digest
+    assert streamed[0] < 1_800_000 < whole[0]
 
 
 @pytest.mark.parametrize("name, kmax, fmt, digest", GOLDEN_STATS_SHA256)
