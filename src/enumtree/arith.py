@@ -76,7 +76,7 @@ def is_prime(n: int) -> bool:
 def _jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a / n) for odd n > 0."""
     a, t = a % n, 1
-    while a:
+    while a:  # Euclid's descent: the next a is n % a < a
         z = (a & -a).bit_length() - 1  # (2 / n) = -1 iff n = 3, 5 mod 8
         a >>= z
         if z & 1 and n & 7 in (3, 5):
@@ -90,7 +90,7 @@ def _jacobi(a: int, n: int) -> int:
 def _is_strong_lucas_prp(n: int) -> bool:
     """Strong Lucas test of odd n > 41, not a square, with Selfridge's P = 1, Q = (1 - D) / 4."""
     D = 5
-    while (j := _jacobi(D, n)) != -1:
+    while (j := _jacobi(D, n)) != -1:  # n is no square, so some D gives -1
         if j == 0:  # 1 < gcd(|D|, n) < n
             return False
         D = 2 - D if D < 0 else -D - 2
@@ -113,7 +113,7 @@ def _brent_rho(n: int) -> int:
         y, m = 2, 128
         g = r = q = 1
         x = ys = y
-        while g == 1:
+        while g == 1:  # no step cap: about sqrt(p) steps for n's least prime p
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -129,7 +129,7 @@ def _brent_rho(n: int) -> int:
         if g == n:
             g = 1
             y = ys
-            while g == 1:
+            while g == 1:  # replays the last batch, whose product shared a factor
                 y = (y * y + c) % n
                 g = gcd(abs(x - y), n)
         if 1 < g < n:
@@ -151,7 +151,7 @@ def factorize(n: int) -> dict[int, int]:
     if n == 1:
         return out
     stack = [n]
-    while stack:
+    while stack:  # every pop is prime or splits in two proper factors
         v = stack.pop()
         if is_prime(v):
             out[v] = out.get(v, 0) + 1
@@ -195,13 +195,13 @@ def sqrt_mod(a: int, p: int) -> int | None:
         q //= 2
         s += 1
     m, t, r = s, pow(a, q, p), pow(a, (q + 1) // 2, p)
-    z = 2  # a non-residue, searched for only while t != 1 (never for p = 3 mod 4)
+    z = 2  # a non-residue, below p as p is prime; sought only while t != 1 (p = 1 mod 4)
     while t != 1 and pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     c = pow(z, q, p)
     while t != 1:
         i, t2 = 0, t
-        while t2 != 1:
+        while t2 != 1:  # t^(2^(m - 1)) = 1, so i < m, and m falls to i
             t2 = t2 * t2 % p
             i += 1
         b = pow(c, 1 << (m - i - 1), p)

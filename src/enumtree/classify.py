@@ -158,7 +158,7 @@ def composite_witness(f: PolyLike) -> tuple[int, int, int, int]:
             " (need positive lead and degree >= 3, or degree 2 with lead >= 2)"
         )
     a = 1
-    while not (abs(f(-a)) > 3 * a and _growth_certified(f, 2 * a)):
+    while not (abs(f(-a)) > 3 * a and _growth_certified(f, 2 * a)):  # both hold for large a
         a += 1
     n0 = abs(f(-a)) - a
     value = f(n0)

@@ -30,9 +30,9 @@ at --count: tree phi0 --depth 18 --format text peaks at 2.2 MB traced, seq phi0 
 20 at 85 MB RSS (a dict of row 20's distinct m).  Only tree --format json walks the
 DivisorPair moves of maps.tree_rows; JSON trees and sequences share _json_lines.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
-ENUMTREE_MAX_NODES environment variable (the flag wins).  tree, stats and
-verify rowsums check their depth against it once, by maps.check_tree_size,
-before any row: a negative or oversized depth exits 2 with empty stdout.
+ENUMTREE_MAX_NODES environment variable (the flag wins).  Each depth is checked once,
+before any row, by maps.check_tree_size, which int_tree_rows calls for verify recursions
+and kernel seed rows: a negative or oversized depth exits 2 with empty stdout.
 """
 
 import argparse
@@ -333,19 +333,17 @@ def _suite_primality(bound: int):
 
 def _suite_recursions(bound: int):
     checked, failures = 0, []
-    depth = bound
-    check_tree_size(depth, DEFAULT_NODE_BUDGET, "bound")
     for f in ENUMERABLE_POLYS:
+        rows = int_tree_rows(f, bound, DEFAULT_NODE_BUDGET, "bound")  # checked before kernel_for
         kernel = kernel_for(f)
-        flat = [pair for row in int_tree_rows(f, depth) for pair in row]
-        s = [0, *kernel.s_prefix(4 * (1 << depth) + 4)]  # s[j] is s(j), for the flat nodes too
-        for i, (m, n) in enumerate(flat, 1):
+        s = [0, *kernel.s_prefix(4 * (1 << bound) + 4)]  # s[j] is s(j), for the tree nodes too
+        for i, (m, n) in enumerate(chain.from_iterable(rows), 1):
             if s[i] != n:
                 failures.append(f"{f}: s({i}) = {s[i]} != tree value {n}")
             if kernel.pair_at(i).components() != (m, n):
                 failures.append(f"{f}: pair_at({i}) disagrees with tree")
             checked += 1
-        for k in range(kernel.start, (1 << depth) + 1):
+        for k in range(kernel.start, (1 << bound) + 1):
             ok = (
                 s[4 * k] == 2 * s[2 * k] - s[k]
                 and s[4 * k + 1] == 2 * s[2 * k] + s[2 * k + 1] + f.beta

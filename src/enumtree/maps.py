@@ -129,12 +129,14 @@ class InverseTrace(Record):
     __slots__ = ("exponents", "pairs", "word", "index")
 
 
-def _peel(f: EnumerablePoly, m: int, n: int, q: int, chain: list | None = None) -> list[int]:
-    """Peel (m, n), a pair of the tree of f, down to (1, 0): its exponents.  The signed
-    cofactor q = f(n) / m is given and carried from here on; only if given a chain
-    list, ending in (m, n), appends each further visited pair to it."""
+def _peel(f: EnumerablePoly, m: int, n: int, q: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Peel (m, n), a pair of the tree of f, down to (1, 0): its exponents and the chain
+    of distinct pairs visited, from (m, n) to (1, 0).  The signed cofactor q = f(n) / m
+    is given and carried from here on."""
     b = f.beta
     exponents: list[int] = []
+    chain = [(m, n)]
+    # n never grows, and a pass with a = 0 sets m = |q| <= n (the check), so the next lowers n
     while n or m != 1:
         cert = _violation(f.poly, m, n, abs(q))
         if cert is not None:
@@ -148,12 +150,11 @@ def _peel(f: EnumerablePoly, m: int, n: int, q: int, chain: list | None = None) 
         if a:
             q = _shifted_cofactor(q, n, b, -a, m)
             n -= a * m
-            if chain is not None:
-                chain.append((m, n))
-        m, q = abs(q), (m if q > 0 else -m)  # c_bar: f(n) = m * q
-        if chain is not None and (m, n) != chain[-1]:
             chain.append((m, n))
-    return exponents
+        m, q = abs(q), (m if q > 0 else -m)  # c_bar: f(n) = m * q
+        if (m, n) != chain[-1]:
+            chain.append((m, n))
+    return exponents, chain
 
 
 def _word_from_exponents(exponents: list[int]) -> str:
@@ -179,8 +180,7 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
     the full reduction chain."""
     if p.poly != f.poly:
         raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
-    chain = [(p.m, p.n)]
-    exponents = _peel(f, p.m, p.n, f.poly(p.n) // p.m, chain)
+    exponents, chain = _peel(f, p.m, p.n, f.poly(p.n) // p.m)
     word = _word_from_exponents(exponents)
     # The chain pairs are p moved by s_bar_inv and c_bar: no check needed.
     return InverseTrace(
@@ -208,16 +208,16 @@ def _int_rows(b: int, row: list[tuple[int, int]], cofs: list[int], depth: int):
 
 
 def int_tree_rows(
-    f: EnumerablePoly, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET
+    f: EnumerablePoly, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET, name: str = "depth"
 ) -> Iterator[list[tuple[int, int]]]:
     """Rows 0..depth of the divisor-pair tree of f as plain (m, n) tuples.
 
     Row k holds 2**k pairs, breadth first; children of each node are s_bar
     (left) then t_bar (right), by the cofactor shift: f is evaluated once, at
     the root, and nodes are not revalidated.  Rows are produced lazily but
-    depth and the total node count are checked up front.
+    depth, named name in a refusal, and the node count are checked up front.
     """
-    check_tree_size(depth, max_nodes)
+    check_tree_size(depth, max_nodes, name)
     return (row for row, _ in _int_rows(f.beta, [(1, 0)], [f.poly(0)], depth))
 
 

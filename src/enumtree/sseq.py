@@ -134,7 +134,7 @@ class SSeqKernel(Record):
             return zip(map(sub, vals[2 * lo : 4 * lo : 2], ns), ns) if doubled else ns
 
         head = min(depth, max(c, d))
-        vals = [0, *self.s_prefix((2 << head << doubled) - 1)]
+        vals = self._fill((2 << head << doubled) - 1)  # slot k holds s(k)
         yield from (level(vals, 1 << r) for r in range(head + 1))
         del vals  # not kept while the deeper rows are filled
         for r in range(head + 1, depth + 1):
@@ -162,7 +162,7 @@ class SSeqKernel(Record):
         out = set()
         # the min sides, m * m <= |f(n)|; at n = 0 all, of which only (1, 0) is reachable
         for m in divs if n == 0 else divs[: (len(divs) + 1) // 2]:
-            k = _index_from_exponents(_peel(f, m, n, value // m))
+            k = _index_from_exponents(_peel(f, m, n, value // m)[0])
             out |= {k, mirror_index(k)}
         return out
 
@@ -183,8 +183,8 @@ def kernel_for(f: EnumerablePoly) -> SSeqKernel:
     """The kernel of f's sequence, read off f and its tree (module docstring)."""
     deep = DEFAULT_NODE_BUDGET.bit_length()  # a d this deep has seed rows past the budget
     d = next((n for n in range(deep) if 0 < f.poly(n) < f.poly(n + 1)), deep)
-    check_tree_size(d + 1, DEFAULT_NODE_BUDGET, f"{f.poly}: seed row")
-    seeds = (n for row in maps.int_tree_rows(f, d + 1) for _, n in row)
+    rows = maps.int_tree_rows(f, d + 1, DEFAULT_NODE_BUDGET, f"{f.poly}: seed row")
+    seeds = (n for row in rows for _, n in row)
     return SSeqKernel(f, 1 << d, (0, *seeds))
 
 

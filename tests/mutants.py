@@ -1,0 +1,118 @@
+"""Mutation probe: do the tests notice a one-token change to the package?
+
+Each mutant changes one token of one module of src/enumtree (all but _record
+and __init__): it swaps an operator for its partner (+ and -, * and //, << and
+>>, < and <=, > and >=, == and !=, and the augmented +=, *=, <<= likewise) or
+adds 1 to an integer literal.  The sites
+are drawn with a fixed seed.  Each mutant is written into a fresh temporary
+copy of the repository, and the tier-1 suite runs there with -x, one mutant at
+a time, under a timeout.  Every site is printed with its outcome:
+
+    killed    a test failed
+    survived  every test passed: a gap in the tests, or an equivalent mutant
+    timeout   the suite ran past --timeout (a loop that no longer ends)
+
+It needs the standard library and pytest only:
+
+    python tests/mutants.py --count 60 --seed 20261019
+
+It is not a test module (no test_ prefix), so pytest does not collect it.
+"""
+
+import argparse
+import io
+import os
+import random
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIPPED_MODULES = {"_record.py", "__init__.py"}
+PARTNER = {"+": "-", "*": "//", "<<": ">>", "<": "<=", ">": ">=", "==": "!=",
+           "+=": "-=", "*=": "//=", "<<=": ">>="}
+PARTNER.update({new: old for old, new in list(PARTNER.items())})
+
+
+def sites(path: Path):
+    """(line, col, old, new) for every one-token mutation of path that still compiles."""
+    source = path.read_text()
+    lines = source.splitlines(keepends=True)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.OP and tok.string in PARTNER:
+            new = PARTNER[tok.string]
+        elif tok.type == tokenize.NUMBER and tok.string.isdigit():
+            new = str(int(tok.string) + 1)
+        else:
+            continue
+        (row, col), end = tok.start, tok.end[1]
+        line = lines[row - 1]
+        mutated = lines[: row - 1] + [line[:col] + new + line[end:]] + lines[row:]
+        try:  # an unpacking * has no // partner
+            compile("".join(mutated), str(path), "exec")
+        except SyntaxError:
+            continue
+        yield row, col, tok.string, new
+
+
+def apply(path: Path, row: int, col: int, old: str, new: str) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    line = lines[row - 1]
+    assert line[col : col + len(old)] == old, (path, row, col, old)
+    lines[row - 1] = line[:col] + new + line[col + len(old) :]
+    path.write_text("".join(lines))
+
+
+def run_suite(copy: Path, timeout: float) -> str:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors"]
+    # a session of its own, so a timeout stops the CLI children the tests start too
+    proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        code = proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "timeout"
+    return "survived" if code == 0 else "killed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, default=60, help="mutants to run")
+    parser.add_argument("--seed", type=int, default=20261019)
+    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
+    args = parser.parse_args(argv)
+
+    modules = sorted(p for p in (ROOT / "src" / "enumtree").glob("*.py")
+                     if p.name not in SKIPPED_MODULES)
+    every = [(p, *site) for p in modules for site in sites(p)]
+    chosen = random.Random(args.seed).sample(every, min(args.count, len(every)))
+    print(f"{len(every)} sites in {len(modules)} modules; running {len(chosen)}", flush=True)
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+    tally: dict[str, int] = {}
+    for i, (path, row, col, old, new) in enumerate(chosen, 1):
+        with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+            copy = Path(tmp) / "repo"
+            shutil.copytree(ROOT, copy, ignore=ignore)
+            apply(copy / path.relative_to(ROOT), row, col, old, new)
+            start = time.monotonic()
+            outcome = run_suite(copy, args.timeout)
+        tally[outcome] = tally.get(outcome, 0) + 1
+        site = f"{path.relative_to(ROOT)}:{row}:{col + 1}"
+        text = path.read_text().splitlines()[row - 1].strip()
+        print(f"{i:3d} {outcome:8s} {time.monotonic() - start:6.1f}s {site} {old!r} -> {new!r}"
+              f"  | {text}", flush=True)
+    print("tally: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,18 @@ from enumtree.arith import divisors, factorize, is_prime, primes_up_to, sqrt_mod
 from oracles import trial_divisors, trial_factorize, trial_is_prime, trial_tau
 
 
+def test_jacobi_is_the_product_of_euler_criteria():
+    # first in this module: with a wrong Jacobi symbol the Lucas test below never ends
+    # (a / n) = prod over p^e || n of (a / p)^e, with (a / p) = a^((p - 1) / 2) mod p
+    for n in range(1, 300, 2):
+        for a in range(-20, 80):
+            want = prod(
+                (1 if (r := pow(a, (p - 1) // 2, p)) == 1 else -1 if r == p - 1 else 0) ** e
+                for p, e in trial_factorize(n).items()
+            )
+            assert arith._jacobi(a, n) == want, (a, n)
+
+
 def test_is_prime_small_range():
     for n in range(2000):
         assert is_prime(n) == trial_is_prime(n), n

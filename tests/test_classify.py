@@ -157,6 +157,18 @@ def test_composite_witness_more_shapes():
         assert f(n0) == f1 * f2 and min(f1, f2) > n0
 
 
+def test_composite_witness_takes_the_least_certified_a():
+    # the least a with |f(-a)| > 3a and 2 f(n) > 3 n^2 for every n > 2a; past n = 5000
+    # every shape below has 2 f - 3 x^2 > 0, and for 2x^2 - 100x + 1 it is negative up to 199
+    for coeffs, least in [((1, -100, 2), 100), ((1, -50, 3), 17), ((-7, 0, -60, 1), 31)]:
+        f = poly(*coeffs)
+        a = next(
+            a for a in range(1, 2500)
+            if abs(f(-a)) > 3 * a and all(2 * f(n) > 3 * n * n for n in range(2 * a + 1, 5000))
+        )
+        assert composite_witness(f)[0] == a == least, f
+
+
 def test_composite_witness_preconditions():
     with pytest.raises(ValueError):
         composite_witness(PHI0)  # monic quadratic is out of range

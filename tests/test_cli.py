@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumtree
-from enumtree import arith, cli, maps, sseq
+from enumtree import analytics, arith, cli, maps, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
 from enumtree.maps import f_hat, f_hat_inverse, tree_rows
@@ -234,6 +234,8 @@ def test_scan_names_a_non_integer_nmax(capsys):
 def test_scan_refuses_a_negative_nmax(capsys):
     code, out, err = run(capsys, "scan", "--", "1", "5", "1", "--nmax", "-1")
     assert (code, out, err) == (2, "", "error: --nmax must be >= 0, got -1\n")
+    code, out, _ = run(capsys, "scan", "--", "1", "5", "1", "--nmax", "0")  # the least is valid
+    assert (code, out) == (0, "no violations up to n_max = 0 for f = x^2+5x+1\n")
 
 
 def test_stats_text_and_json(capsys):
@@ -280,6 +282,26 @@ def test_verify_recursions_refusal_names_its_bound(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "recursions", "--bound", "21")
     assert (code, out) == (2, "")
     assert err == "error: bound 21 needs 4194303 nodes, budget is 2097152\n"
+
+
+def test_each_depth_is_checked_once(capsys, monkeypatch):
+    # every module that imports check_tree_size, so a call by any of its names counts
+    calls, inner = [0], maps.check_tree_size
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    for module in (maps, sseq, cli, analytics):
+        monkeypatch.setattr(module, "check_tree_size", counted)
+    for f in ENUMERABLE_POLYS:
+        calls[0] = 0
+        kernel_for(f)
+        assert calls[0] == 1, f.name  # its seed rows
+    calls[0] = 0
+    code, out, _ = run(capsys, "verify", "recursions")
+    assert code == 0 and json.loads(out)["failures"] == []
+    assert calls[0] == 8  # per tree, the bound of its tree walk and its kernel's seed row
 
 
 def test_tree_refusal_names_its_depth(capsys):
@@ -432,6 +454,8 @@ def test_verify_suites_pass(capsys):
 def test_verify_refuses_a_negative_bound_in_every_suite(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--bound", "-1")
     assert (code, out, err) == (2, "", "error: bound must be >= 0, got -1\n")
+    code, out, _ = run(capsys, "verify", suite, "--bound", "0")  # the least bound is valid
+    assert code == 0 and json.loads(out)["bound"] == 0
 
 
 def test_bijectivity_suite_evaluates_f_once_per_n_besides_the_pair_checks(monkeypatch):

@@ -1,0 +1,106 @@
+"""Work counts of the streamed and reducing paths, pinned exactly.
+
+Wall time cannot be asserted on a shared host; call counts can.  Each guard
+patches the module-level helper a path calls, as the benchmark's tracer does,
+and pins the count recorded before the code it covers changed.  A count that
+grows with the input also gets a bound on its growth, derived from the code.
+"""
+
+import random
+
+import pytest
+
+from enumtree import analytics, maps, sseq
+from enumtree.maps import f_hat, f_hat_inverse, int_tree_rows
+from enumtree.monoid import word_to_matrix
+from enumtree.pairs import ENUMERABLE_POLYS
+from enumtree.sseq import kernel_for, vector_tree_rows
+
+_BY_NAME = {f.name: f for f in ENUMERABLE_POLYS}
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name in a call counter; returns the one-slot count list."""
+    calls, inner = [0], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# net_expand calls of _rows(d, doubled) read in full at block depth 6, at d = 10 and 11;
+# psi2's kernel starts at 2, so its head fill and its top walks are shorter
+_ROWS_CALLS = {
+    ("phi0", False): (1059, 2211), ("phi0", True): (2211, 4579),
+    ("phi1", False): (1059, 2211), ("phi1", True): (2211, 4579),
+    ("psi2", False): (1028, 2148), ("psi2", True): (2148, 4452),
+    ("phi3", False): (1059, 2211), ("phi3", True): (2211, 4579),
+}
+
+
+@pytest.mark.parametrize("name, doubled", list(_ROWS_CALLS))
+def test_streamed_rows_expand_a_pinned_number_of_nodes(monkeypatch, name, doubled):
+    block = 6
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", block)
+    kern = kernel_for(_BY_NAME[name])
+    calls = _counting(monkeypatch, sseq, "net_expand")
+    counts = []
+    for depth in (10, 11):
+        calls[0] = 0
+        for row in kern._rows(depth, doubled):
+            for _ in row:
+                pass
+        counts.append(calls[0])
+    assert tuple(counts) == _ROWS_CALLS[name, doubled]
+    # Past the head, row r is 2**t blocks (t = r - c, c = block - doubled), each a top walk
+    # of at most t digits and a fill of 2**(block - 1) - 1 calls.  Row d + 1 thus costs
+    # twice row d plus one call per block top: the total at most doubles, plus
+    # 2**(d + 2 - c) calls and one fill.
+    fill = (1 << (block - 1)) - 1
+    assert counts[1] <= 2 * counts[0] + (1 << (12 - block + doubled)) + fill
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_s_prefix_expands_one_node_per_four_terms(monkeypatch, f):
+    kern = kernel_for(f)
+    calls = _counting(monkeypatch, sseq, "net_expand")
+    kern.s_prefix(1000)
+    # slots 4k .. 4k + 3 for k = start .. 250; the seeds fill the slots below 4 * start
+    assert calls[0] == 1000 // 4 - kern.start + 1 == (249 if f.name == "psi2" else 250)
+
+
+def test_vector_tree_rows_expand_one_fill(monkeypatch):
+    calls = _counting(monkeypatch, sseq, "net_expand")
+    rows = list(vector_tree_rows(10))
+    assert len(rows[10]) == 1 << 10
+    # rows 0..11 of s come from one fill of 2**12 - 1 slots, below the block depth
+    assert calls[0] == ((1 << 12) - 1) // 4 == 1023
+
+
+@pytest.mark.parametrize("name, steps", [("phi0", 143), ("phi1", 159), ("psi2", 156), ("phi3", 159)])
+def test_inverse_checks_each_peel_step_once(monkeypatch, name, steps):
+    f = _BY_NAME[name]
+    rng = random.Random(300 + ENUMERABLE_POLYS.index(f))
+    p = f_hat(f, word_to_matrix("".join(rng.choice("ST") for _ in range(300))))
+    calls = _counting(monkeypatch, maps, "_violation")
+    trace = f_hat_inverse(f, p)
+    assert calls[0] == len(trace.exponents) == steps
+
+
+@pytest.mark.parametrize(
+    "name, distinct, gcds",
+    [("phi0", 465, 1385), ("phi1", 469, 1395), ("psi2", 471, 1399), ("phi3", 487, 1447)],
+)
+def test_row_stats_merges_one_term_per_distinct_m(monkeypatch, name, distinct, gcds):
+    f = _BY_NAME[name]
+    # row 10 streamed in blocks, as stats reads a row past the block depth
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", 6)
+    *_, row = kernel_for(f)._rows(10, True)
+    assert len({m for m, _ in list(int_tree_rows(f, 10))[10]}) == distinct
+    calls = _counting(monkeypatch, analytics, "gcd")
+    analytics.row_stats(10, row)
+    # one gcd per distinct m, two per merge: distinct - popcount(distinct) merges
+    assert calls[0] == distinct + 2 * (distinct - bin(distinct).count("1")) == gcds
