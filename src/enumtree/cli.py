@@ -25,10 +25,11 @@ tree, seq, inverse and fiber write bounded chunks, reading one part past each
 (_write_joined): a 4,000-letter inverse (5.7 MB of chain) peaks at 2 MB traced.
 tree --format text, seq, stats and verify rowsums stream rows of s in bounded blocks
 (SSeqKernel._rows), as pairs (s(2k) - s(k), s(k)) but in b-files, seq's last row cut
-at --count: tree phi0 --depth 18 --format text peaks at 2.2 MB traced, seq phi0 --count
-262144 at 2.1 / 2.6 MB (b-file / json), stats phi0 --kmax 20 and verify rowsums --bound
-20 at 85 MB RSS (a dict of row 20's distinct m).  Only tree --format json walks the
-DivisorPair moves of maps.tree_rows; JSON trees and sequences share _json_lines.
+at --count, and verify recursions checks those pair rows against the moves: tree phi0
+--depth 18 --format text peaks at 2.2 MB traced, seq phi0 --count 262144 at 2.1 / 2.6
+MB (b-file / json), stats phi0 --kmax 20 and verify rowsums --bound 20 at 85 MB RSS (a
+dict of row 20's distinct m).  Only tree --format json walks the DivisorPair moves of
+maps.tree_rows; JSON trees and sequences share _json_lines.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
 ENUMTREE_MAX_NODES environment variable (the flag wins).  Each depth is checked once,
 before any row, by maps.check_tree_size, which int_tree_rows calls for verify recursions
@@ -291,14 +292,15 @@ def _suite_bijectivity(bound: int):
                     failures.append(f"{f}: duplicate tree pair {pair}")
                 seen.add(pair)
                 checked += 1
+        kernel = kernel_for(f)
         for n in range(1, bound + 1):
             value, indices = abs(f.poly(n)), set()
             for m in divisors(value):
-                trace = f_hat_inverse(f, make_pair(m, n, f))
-                indices.add(trace.index)
-                back = trace.pairs[0]
-                if back.components() != (m, n):
-                    failures.append(f"{f}: trace of ({m}, {n}) starts at {back}")
+                k = f_hat_inverse(f, make_pair(m, n, f)).index
+                indices.add(k)
+                s_k, s_2k, _ = kernel._triple(k)  # the round trip: node k is (s(2k) - s(k), s(k))
+                if (s_2k - s_k, s_k) != (m, n):
+                    failures.append(f"{f}: index {k} of ({m}, {n}) holds ({s_2k - s_k}, {s_k})")
                 checked += 1
             if len(indices) != _tau_trial(value):
                 failures.append(f"{f}: fiber of {n} has colliding indices")
@@ -336,13 +338,11 @@ def _suite_recursions(bound: int):
     for f in ENUMERABLE_POLYS:
         rows = int_tree_rows(f, bound, DEFAULT_NODE_BUDGET, "bound")  # checked before kernel_for
         kernel = kernel_for(f)
-        s = [0, *kernel.s_prefix(4 * (1 << bound) + 4)]  # s[j] is s(j), for the tree nodes too
-        for i, (m, n) in enumerate(chain.from_iterable(rows), 1):
-            if s[i] != n:
-                failures.append(f"{f}: s({i}) = {s[i]} != tree value {n}")
-            if kernel.pair_at(i).components() != (m, n):
-                failures.append(f"{f}: pair_at({i}) disagrees with tree")
-            checked += 1
+        for r, (row, pairs) in enumerate(zip(rows, kernel._rows(bound, True), strict=True)):
+            if row != list(pairs):
+                failures.append(f"{f}: row {r} of the kernel's pairs disagrees with the tree")
+            checked += len(row)
+        s = [0, *kernel.s_prefix(4 * (1 << bound) + 4)]  # s[j] is s(j)
         for k in range(kernel.start, (1 << bound) + 1):
             ok = (
                 s[4 * k] == 2 * s[2 * k] - s[k]

@@ -20,7 +20,7 @@ from enumtree import analytics, arith, cli, maps, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
 from enumtree.maps import f_hat, f_hat_inverse, tree_rows
-from enumtree.monoid import index_to_word, word_to_matrix
+from enumtree.monoid import index_to_word, mirror_index, word_to_matrix
 from enumtree.pairs import ENUMERABLE_POLYS, PHI0, POLY_BY_NAME, Poly, make_pair
 from enumtree.sseq import kernel_for
 from oracles import trial_tau
@@ -450,6 +450,12 @@ def test_verify_suites_pass(capsys):
         assert summary["checked"] > 0
 
 
+def test_the_suites_trial_divisor_count_counts_a_square_root_once():
+    # |f(n)| is a square only at n = 0 on the four trees, so the suites alone
+    # do not reach the square case of their oracle
+    assert [cli._tau_trial(v) for v in range(1, 500)] == [trial_tau(v) for v in range(1, 500)]
+
+
 @pytest.mark.parametrize("suite", sorted(_SUITES))
 def test_verify_refuses_a_negative_bound_in_every_suite(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--bound", "-1")
@@ -464,6 +470,13 @@ def test_bijectivity_suite_evaluates_f_once_per_n_besides_the_pair_checks(monkey
     bound = 20
     expected = Counter({0: len(ENUMERABLE_POLYS)})
     for f in ENUMERABLE_POLYS:
+        # kernel_for: f(n) while n <= d and f(n + 1) after each positive f(n), in its
+        # search for d; then f(0) at the root of its seed rows
+        d = kernel_for(f).start.bit_length() - 1
+        expected[0] += 1
+        for n in range(d + 1):
+            expected[n] += 1
+            expected[n + 1] += f.poly(n) > 0
         for n in range(1, bound + 1):
             expected[n] += 1 + 2 * trial_tau(abs(f.poly(n)))
     seen = []
@@ -471,6 +484,35 @@ def test_bijectivity_suite_evaluates_f_once_per_n_besides_the_pair_checks(monkey
     monkeypatch.setattr(Poly, "__call__", lambda g, n: seen.append(n) or evaluate(g, n))
     assert _SUITES["bijectivity"][0](bound)[1] == []
     assert Counter(seen) == expected
+
+
+def test_verify_bijectivity_catches_a_mirrored_index_map(capsys, monkeypatch):
+    # mirror_index is injective, so each fiber keeps tau(|f(n)|) distinct indices;
+    # only the round trip from the index back to its pair sees the wrong node
+    inner = maps.word_to_index
+    monkeypatch.setattr(maps, "word_to_index", lambda word: mirror_index(inner(word)))
+    code, out, _ = run(capsys, "verify", "bijectivity", "--bound", "10")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures
+    assert failures[0] == "phi0: index 3 of (1, 1) holds (2, 1)"
+
+
+def test_verify_recursions_reads_the_kernels_deep_blocks(capsys, monkeypatch):
+    # at block depth 4 the pair rows past row 3 are filled from the tops _triple(j)
+    default = run(capsys, "verify", "recursions")
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", 4)
+    assert run(capsys, "verify", "recursions") == default
+    assert hashlib.sha256(default[1].encode()).hexdigest() == dict(GOLDEN_VERIFY_SHA256)["recursions"]
+    fill = sseq.SSeqKernel._fill
+
+    def corrupt(self, stop, top=None):
+        vals = fill(self, stop, top)
+        return vals if top is None else [v + 1 for v in vals]
+
+    monkeypatch.setattr(sseq.SSeqKernel, "_fill", corrupt)
+    failures = _SUITES["recursions"][0](8)[1]
+    assert len(failures) == len(ENUMERABLE_POLYS) * 5  # rows 4..8 of each tree
+    assert failures[0] == "phi0: row 4 of the kernel's pairs disagrees with the tree"
 
 
 def test_outputs_are_deterministic(capsys):

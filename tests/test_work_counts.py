@@ -11,10 +11,12 @@ import random
 import pytest
 
 from enumtree import analytics, maps, sseq
+from enumtree.cli import _SUITES
 from enumtree.maps import f_hat, f_hat_inverse, int_tree_rows
 from enumtree.monoid import word_to_matrix
 from enumtree.pairs import ENUMERABLE_POLYS
 from enumtree.sseq import kernel_for, vector_tree_rows
+from oracles import trial_tau
 
 _BY_NAME = {f.name: f for f in ENUMERABLE_POLYS}
 
@@ -104,3 +106,21 @@ def test_row_stats_merges_one_term_per_distinct_m(monkeypatch, name, distinct, g
     analytics.row_stats(10, row)
     # one gcd per distinct m, two per merge: distinct - popcount(distinct) merges
     assert calls[0] == distinct + 2 * (distinct - bin(distinct).count("1")) == gcds
+
+
+def test_verify_recursions_makes_no_digit_walk_below_the_block_depth(monkeypatch):
+    # bounds to 13 are read from one fill of s (pair rows take c = _BLOCK_DEPTH - 1);
+    # a walk per node, as pair_at makes, would be 2**(bound + 1) - 1 calls per tree
+    calls = _counting(monkeypatch, sseq.SSeqKernel, "_triple")
+    for bound in range(sseq._BLOCK_DEPTH):
+        assert _SUITES["recursions"][0](bound)[1] == []
+        assert calls[0] == 0, bound
+
+
+def test_verify_bijectivity_walks_once_per_divisor(monkeypatch):
+    # one round trip from each inverted index back to its pair, tau(|f(n)|) per n
+    bound = 40
+    calls = _counting(monkeypatch, sseq.SSeqKernel, "_triple")
+    assert _SUITES["bijectivity"][0](bound)[1] == []
+    expected = sum(trial_tau(abs(f.poly(n))) for f in ENUMERABLE_POLYS for n in range(1, bound + 1))
+    assert calls[0] == expected == 592
