@@ -21,12 +21,12 @@ alone maps a failure to its code, by the table _EXIT_BY_FAILURE.
 
 All output is deterministic; integers above 2^53 - 1 are serialized as
 decimal strings in JSON so double-parsing consumers keep exact values.
-tree, seq, inverse and fiber write bounded chunks, reading one part past each
-(_write_joined): a 4,000-letter inverse (5.7 MB of chain) peaks at 2 MB traced.
+tree, seq, inverse and fiber write about 16 KB at a time, each write sized from its first
+part, one part read ahead (_write_joined): a 4,000-letter inverse peaks at 2 MB traced.
 tree --format text, seq, stats and verify rowsums stream rows of s in bounded blocks
 (SSeqKernel._rows), as pairs (s(2k) - s(k), s(k)) but in b-files, seq's last row cut
 at --count, and verify recursions checks those pair rows against the moves: tree phi0
---depth 18 --format text peaks at 2.2 MB traced, seq phi0 --count 262144 at 2.1 / 2.6
+--depth 18 --format text peaks at 1.7 MB traced, seq phi0 --count 262144 at 1.8 / 1.6
 MB (b-file / json), stats phi0 --kmax 20 and verify rowsums --bound 20 at 85 MB RSS (a
 dict of row 20's distinct m).  Only tree --format json walks the DivisorPair moves of
 maps.tree_rows; JSON trees and sequences share _json_lines.
@@ -79,8 +79,8 @@ _EXIT_BY_FAILURE = (
     ((FactorLimitExceeded, ArithmeticError, MemoryError), EXIT_ARITHMETIC),
 )
 
-# Lines (or text-row cells) per stdout write: bounded memory, few calls.
-_CHUNK_LINES = 4096
+# Bytes per stdout write, about: the part that starts a write sets its part count.
+_WRITE_BYTES = 1 << 14
 
 
 def _json_int(v: int) -> str:
@@ -98,13 +98,13 @@ def _json_lines(row: int, pairs):
         yield f'{{"index":{index},"m":{m},"n":{n},"word":"{word}","row":{row}}}'
 
 
-def _write_joined(parts, sep: str = "\n", per_write: int = _CHUNK_LINES) -> None:
-    """Write parts to stdout, sep between them and a newline after the last,
-    one write per at most per_write parts, never a whole output."""
+def _write_joined(parts, sep: str = "\n") -> None:
+    """Write parts to stdout, sep between them and a newline after the last; a write
+    holds 1 + _WRITE_BYTES // (len(first) + len(sep)) parts, first the part it starts with."""
     write, parts = sys.stdout.write, iter(parts)
     following = next(parts, None)  # the one part read ahead, to choose the last separator
     while following is not None:
-        chunk = [following, *islice(parts, per_write - 1)]
+        chunk = [following, *islice(parts, _WRITE_BYTES // (len(following) + len(sep)))]
         following = next(parts, None)
         chunk[-1] += "\n" if following is None else sep
         write(sep.join(chunk))
@@ -145,8 +145,8 @@ def _cmd_tree(args) -> int:
     if args.format == "text":
         check_tree_size(args.depth, budget)
         for row_idx, row in enumerate(kernel_for(f)._rows(args.depth, True)):
-            sys.stdout.write("  " * row_idx)
-            _write_joined((f"({m}, {n})" for m, n in row), "  ")
+            cells = (f"({m}, {n})" for m, n in row)  # the indent rides on the first
+            _write_joined(chain(["  " * row_idx + next(cells)], cells), "  ")
     else:
         # Words are recovered from the heap index: cheap and avoids
         # threading them through generation.
@@ -174,13 +174,13 @@ def _cmd_seq(args) -> int:
 def _cmd_inverse(args) -> int:
     f = POLY_BY_NAME[args.poly]
     trace = f_hat_inverse(f, make_pair(args.m, args.n, f))
-    first = str(trace.pairs[0])
+    texts = _chain_text(trace.pairs)
+    first = next(texts)  # the pair line's and the chain's, converted once
     print(f"pair: {first}")
     print(f"word: {trace.word or '(empty)'}")
     print(f"matrix: {word_to_matrix(trace.word)}")
     print(f"index: {trace.index}")
-    # Pairs shrink toward (1, 0), so each write holds about 32 KB of the chain.
-    _write_joined(chain(["chain:"], _chain_text(trace.pairs)), " ", 1 + (1 << 15) // len(first))
+    _write_joined(chain([f"chain: {first}"], texts), " ")
     return EXIT_OK
 
 
@@ -193,7 +193,7 @@ def _cmd_fiber(args) -> int:
     print(f"n: {args.n}")
     print(f"|f(n)|: {value}")
     print(f"tau: {len(indices)}")
-    _write_joined(chain(["indices:"], map(str, indices)), " ")
+    _write_joined(chain([f"indices: {indices[0]}"], map(str, indices[1:])), " ")
     if args.n >= 1:
         verdict = "prime" if kernel.is_f_prime_via_fiber(args.n, fiber) else "composite"
         print(f"verdict: {verdict}")

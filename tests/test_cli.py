@@ -163,6 +163,23 @@ def test_word_too_long_to_allocate_exits_5(capsys, name, m):
     assert (code, out, err) == (5, "", "error: MemoryError\n")
 
 
+_STR_LIMIT_ERROR = (
+    "error: Exceeds the limit (4300 digits) for integer string conversion; "
+    "use sys.set_int_max_str_digits() to increase the limit\n"
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # two of the four indices have more than 4,300 digits: their line writes nothing
+    ("fiber phi0 15000", "n: 15000\n|f(n)|: 225000001\ntau: 4\n"),
+    # the index of S^20000 has more than 4,300 digits: no index or chain line
+    ("inverse phi0 1 20000",
+     "pair: (1, 20000)\nword: " + "S" * 20000 + "\nmatrix: [[1, 0], [20000, 1]]\n"),
+], ids=["fiber", "inverse"])
+def test_an_output_past_the_int_to_str_limit_exits_2(capsys, argv, expected):
+    assert run(capsys, *argv.split()) == (2, expected, _STR_LIMIT_ERROR)
+
+
 def test_fiber_reports(capsys):
     code, out, _ = run(capsys, "fiber", "phi0", "3")
     lines = dict(line.split(": ", 1) for line in out.splitlines())
@@ -706,6 +723,16 @@ def test_inverse_chain_text_matches_the_joined_str_oracle(capsys, name, length):
     assert run(capsys, "inverse", name, str(pair.m), str(pair.n)) == (0, expected, "")
 
 
+def test_inverse_converts_its_pair_to_decimal_once(capsys, monkeypatch):
+    # the pair line and the chain's first part share one string from _chain_text
+    pair = _pair_of_random_word("phi0", 50, 50)
+    expected = _inverse_oracle("phi0", pair.m, pair.n)
+    called = []
+    monkeypatch.setattr(type(pair), "__str__", lambda p: called.append(p) or "?")
+    assert run(capsys, "inverse", "phi0", str(pair.m), str(pair.n)) == (0, expected, "")
+    assert called == []
+
+
 def test_inverse_of_the_root_matches_the_joined_str_oracle(capsys):
     assert run(capsys, "inverse", "phi0", "1", "0") == (0, _inverse_oracle("phi0", 1, 0), "")
 
@@ -747,36 +774,64 @@ def test_inverse_output_memory_is_bounded(monkeypatch):
 
 
 def test_each_output_chunk_is_one_write(monkeypatch):
-    # 16,383 JSON lines in chunks of 4,096: the separators ride in the chunks
+    # 16,383 JSON lines, each write sized from its first line: 1 + 16384 // (len + 1)
+    # lines, 278 from the 58-byte root on; the separators ride in the chunks
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["tree", "phi0", "--depth", "13"]) == 0
     assert sink.digest.hexdigest() == GOLDEN_SHA256[0][3]
-    assert sink.writes == 4
+    assert (sink.writes, sink.largest) == (65, 20_900)
 
 
-@pytest.mark.parametrize("total, per_write", [(1, 4096), (4096, 4096), (10_000, 4096), (7, 3), (5, 1)])
-def test_writer_reads_one_part_ahead(monkeypatch, total, per_write):
-    # at each write, at most one part has been pulled beyond those written
+def _part_sizes(total, width):
+    """total part sizes from 1 to width, log-uniform, seeded by the two."""
+    rng = random.Random(total * width)
+    return [round(width ** rng.random()) for _ in range(total)]
+
+
+# ids total-width: total parts of log-uniform sizes 1..width
+@pytest.mark.parametrize("sizes, sep", [
+    pytest.param(_part_sizes(1, 4096), " ", id="1-4096"),
+    pytest.param(_part_sizes(4096, 4096), "\n", id="4096-4096"),
+    pytest.param(_part_sizes(10_000, 4096), "  ", id="10000-4096"),
+    pytest.param(_part_sizes(7, 3), " ", id="7-3"),
+    pytest.param(_part_sizes(5, 1), "\n", id="5-1"),
+    pytest.param([], "\n", id="none"),
+    # 1 + 16384 // 4 = 4,097 parts per write
+    pytest.param([3] * 10_000, "\n", id="even"),
+    # first + sep is 16,384 bytes: two parts; 16,383 bytes: one part alone
+    pytest.param([16_383, 1, 1, 1], " ", id="at-budget"),
+    pytest.param([16_382, 1, 1, 1], " ", id="under-budget"),
+    # a part past the budget alone; then 4,097 parts from a 2-byte part on, the rest
+    pytest.param([40_000, 2, 40_000, 2, 2], "  ", id="huge"),
+    # shrinking, as the inverse chain does
+    pytest.param(sorted(_part_sizes(2_000, 5_000), reverse=True), " ", id="chain"),
+])
+def test_writer_reads_one_part_ahead(monkeypatch, sizes, sep):
+    # each write holds 1 + 16384 // (len(first) + len(sep)) parts, and at each write
+    # exactly one part has been pulled beyond those written (none after the last)
+    parts = [chr(97 + i % 26) * size for i, size in enumerate(sizes)]
     pulled, writes = [], []
 
-    def parts():
-        for i in range(total):
-            pulled.append(i)
-            yield str(i)
+    def pull():
+        for part in parts:
+            pulled.append(part)
+            yield part
 
     class Sink:
         def write(self, text):
             writes.append((text, len(pulled)))
 
     monkeypatch.setattr(sys, "stdout", Sink())
-    cli._write_joined(parts(), " ", per_write)
-    assert "".join(text for text, _ in writes) == " ".join(map(str, range(total))) + "\n"
-    written = 0
-    for text, ahead in writes:
-        written += len(text.split())
-        assert written <= ahead <= written + 1
-    assert len(writes) == -(-total // per_write)
+    cli._write_joined(pull(), sep)
+    expected, written = [], 0
+    while written < len(parts):
+        chunk = parts[written : written + 1 + 16384 // (len(parts[written]) + len(sep))]
+        written += len(chunk)
+        last = written == len(parts)
+        expected.append((sep.join(chunk) + ("\n" if last else sep), written + (not last)))
+    assert writes == expected
+    assert "".join(text for text, _ in writes) == (sep.join(parts) + "\n" if parts else "")
 
 
 # stdout SHA-256 of `seq <poly> --count 200000`, recorded from the CLI that
@@ -844,7 +899,8 @@ def test_streamed_output_matches_its_size_and_digest(monkeypatch, argv, size, di
 # row takes its tops from a row deeper than one block).  Streamed, the output
 # chunks set the peak; with one block as deep as the output, or at the commit
 # before each streamer, whole rows or the whole prefix are live and the same run
-# exceeds its bound.
+# exceeds its bound.  argv is parsed once before tracing, so the modules argparse
+# imports on first use (gettext, locale; about 0.16 MB) count in no peak.
 _SMALL_BLOCK_DEPTH = 6
 
 
@@ -858,6 +914,7 @@ def _sha256(lines) -> str:
 def _peak_and_digest(monkeypatch, block, argv):
     """tracemalloc peak and stdout SHA-256 of main(argv) at sseq._BLOCK_DEPTH = block."""
     monkeypatch.setattr(sseq, "_BLOCK_DEPTH", block)
+    cli.build_parser().parse_args(argv)
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -871,9 +928,10 @@ def _peak_and_digest(monkeypatch, block, argv):
 
 
 def test_text_tree_memory_is_bounded(monkeypatch):
-    # depth 14: 32,767 nodes, 0.5 MB of text; about 0.63-0.80 MB traced streamed,
-    # 3.5 MB at block depth 15 (rows 0..14 and their doubles from one fill; block
-    # depth 14 is two fills, 2.05 MB) and 3.1 MB at the commit before the streamer
+    # depth 14: 32,767 nodes, 0.5 MB of text; about 0.22 MB traced streamed in
+    # writes of about 16 KB (0.63 MB in writes of 4,096 cells), 3.1 MB at block
+    # depth 15 (rows 0..14 and their doubles from one fill) and 3.1 MB at the
+    # commit before the streamer
     depth = 14
     expected = _sha256(
         "  " * r + "  ".join(map(str, row)) + "\n" for r, row in enumerate(tree_rows(PHI0, depth))
@@ -882,15 +940,17 @@ def test_text_tree_memory_is_bounded(monkeypatch):
     streamed = _peak_and_digest(monkeypatch, _SMALL_BLOCK_DEPTH, argv)
     whole = _peak_and_digest(monkeypatch, depth + 1, argv)
     assert streamed[1] == whole[1] == expected
-    assert streamed[0] < 1_800_000 < whole[0]
+    assert streamed[0] < 400_000 < whole[0]
 
 
 @pytest.mark.parametrize(
-    "fmt, bound", [("bfile", 1_200_000), ("json", 2_700_000)], ids=["bfile", "json"]
+    "fmt, bound", [("bfile", 530_000), ("json", 300_000)], ids=["bfile", "json"]
 )
 def test_seq_memory_is_bounded(monkeypatch, fmt, bound):
-    # 2^15 terms, to the first of row 15; about 0.7 / 1.6 MB traced streamed,
-    # 2.1 / 4.5 MB in one block and 2.2 / 4.2 MB at the commit before the streamer
+    # 2^15 terms, to the first of row 15; about 0.44 / 0.13 MB traced streamed in
+    # writes of about 16 KB (0.61 / 1.08 MB in writes of 4,096 lines; the b-file's
+    # first write is 4,097 lines, sized from its 4-byte "1 0"), 3.2 / 6.1 MB in one
+    # block and 2.2 / 4.2 MB at the commit before the streamer
     count = 1 << 15
     s = [0, *kernel_for(PHI0).s_prefix(2 * count + 1)]  # s[k] is s(k)
     ks = range(1, count + 1)
