@@ -857,6 +857,37 @@ def test_long_seq_matches_golden_hash(monkeypatch, name, fmt, digest):
     assert sink.digest.hexdigest() == digest
 
 
+# stdout SHA-256 of `seq <poly> --count <n> --format json`, recorded from the CLI that
+# called index_to_word per line and filled a second level of s for the pairs; the counts
+# straddle row 10 (2^10 lines, a block of JSON words) and row 15 (past one 2^15 fill).
+GOLDEN_SEQ_JSON_EDGE_SHA256 = [
+    ("phi1", 1, "4a8c22f14d3f2af22f6b1608992d5f9e016acc13d53240153a964d0debf08eab"),
+    ("phi1", 1023, "3fb19a384911f180c44829c3fa85b8cb792dfbf09b4abd0eb5613f1e46e31d64"),
+    ("phi1", 1024, "d5cee753ec9e85f28dc84c2776056f2dd4dcd572baa30fc2a53027f62e189b01"),
+    ("phi1", 1025, "91c7bbd0a6b43e85d9a03772660056f0a24ec2897f3aa7cf182b3ae23d63d6fc"),
+    ("phi1", 3000, "c5501d879127caa475c5fd496e618ec2198b8384f05062a6543304a35ccea3fd"),
+    ("phi1", 32767, "0926de3baa39eb2d6a1bf588da97f0dd0ad3922660146cc219fd4f538b772f20"),
+    ("phi1", 32768, "3d7a9aecec22eb98018deab75ab340401b62a23b9718a01e4fed21b3201ce1cc"),
+    ("phi1", 32769, "f8689b538894db10d7811e7cdf5657379bbf0f233dd86911748f2966d015ae7e"),
+    ("psi2", 1, "4a8c22f14d3f2af22f6b1608992d5f9e016acc13d53240153a964d0debf08eab"),
+    ("psi2", 1023, "8476a2ce0e17a4f39676d978634c890d71d373cb6e273ff7e4366aa2b1d398f0"),
+    ("psi2", 1024, "14ef7290f5edae5adc24354c5eb2eef271ed503222716bdc467a6797c71938ee"),
+    ("psi2", 1025, "9480c88c8e5324ce69a941e69769213d014d8b8ec52c7059dbe1d919f6ca1057"),
+    ("psi2", 3000, "6d45d27938a83c7a559390944f7d40321747c9302fe895552311e3a47546ac4b"),
+    ("psi2", 32767, "619577c62cc595e5070bc91c71f697622df0743bd095e99a2db6404999bf32d1"),
+    ("psi2", 32768, "082753d16d9c6bbdeb88580f20bfe1f607b90468a14b15c3ca59c462675d5919"),
+    ("psi2", 32769, "4791dd7ec099613d942e87b288a8f0c513ba17c39c91235d8771409651815d60"),
+]
+
+
+@pytest.mark.parametrize("name, count, digest", GOLDEN_SEQ_JSON_EDGE_SHA256)
+def test_seq_json_at_the_word_and_block_edges_matches_golden_hash(monkeypatch, name, count, digest):
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["seq", name, "--count", str(count), "--format", "json"]) == 0
+    assert sink.digest.hexdigest() == digest
+
+
 # stdout SHA-256 of `tree <poly> --depth 17 --format text`, recorded from the CLI
 # that walked the DivisorPair moves; rows 15..17 are deeper than one block.
 GOLDEN_DEEP_TEXT_TREE_SHA256 = [
