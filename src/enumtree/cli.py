@@ -26,10 +26,11 @@ part, one part read ahead (_write_joined): a 4,000-letter inverse peaks at 2 MB 
 tree --format text, seq, stats and verify rowsums stream rows of s in bounded blocks
 (SSeqKernel._rows), as pairs (s(2k) - s(k), s(k)) but in b-files, seq's last row cut
 at --count, and verify recursions checks those pair rows against the moves: tree phi0
---depth 18 --format text peaks at 1.7 MB traced, seq phi0 --count 262144 at 1.8 / 1.6
+--depth 18 --format text peaks at 1.8 MB traced, seq phi0 --count 262144 at 1.8 / 1.9
 MB (b-file / json), stats phi0 --kmax 20 and verify rowsums --bound 20 at 85 MB RSS (a
 dict of row 20's distinct m).  Only tree --format json walks the DivisorPair moves of
-maps.tree_rows; JSON trees and sequences share _json_lines.
+maps.tree_rows; JSON trees and sequences share _json_lines, whose words past row 10
+come from a table of 2^10 tails and one word per block of 2^10 lines.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
 ENUMTREE_MAX_NODES environment variable (the flag wins).  Each depth is checked once,
 before any row, by maps.check_tree_size, which int_tree_rows calls for verify recursions
@@ -39,7 +40,7 @@ and kernel seed rows: a negative or oversized depth exits 2 with empty stdout.
 import argparse
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, count, islice
 from math import isqrt
 
 from . import analytics, classify
@@ -81,6 +82,8 @@ _EXIT_BY_FAILURE = (
 
 # Bytes per stdout write, about: the part that starts a write sets its part count.
 _WRITE_BYTES = 1 << 14
+# JSON lines take their words' first letters from a table of this depth (_json_lines).
+_WORD_TABLE_DEPTH = 10
 
 
 def _json_int(v: int) -> str:
@@ -90,12 +93,22 @@ def _json_int(v: int) -> str:
 
 def _json_lines(row: int, pairs):
     """JSON lines of the nodes 2**row, 2**row + 1, ... of one tree row from their (m, n)
-    pairs (nonnegative); only a line with a value past 2^53 - 1 calls _json_int."""
-    for index, (m, n) in enumerate(pairs, 1 << row):
-        word = index_to_word(index)
-        if index > _SAFE_INT or m > _SAFE_INT or n > _SAFE_INT:
-            index, m, n = _json_int(index), _json_int(m), _json_int(n)
-        yield f'{{"index":{index},"m":{m},"n":{n},"word":"{word}","row":{row}}}'
+    pairs (nonnegative), until the pairs run out.  With c = min(row, _WORD_TABLE_DEPTH),
+    node j * 2**c + i has the word word(2**c + i) + word(j): the row makes its 2**c tail
+    words once (one per node while row <= c), and each block of 2**c lines one string that
+    ends them.  A row's indices are all past 2^53 - 1 or none; m and n are checked per line."""
+    c, pairs = min(row, _WORD_TABLE_DEPTH), iter(pairs)
+    tails = map(index_to_word, range(1 << c, 2 << c))
+    if row > c:
+        tails = [*tails]
+    big = 1 << row > _SAFE_INT  # every index of the row is at least 2**row
+    for j, first in zip(range(1 << (row - c), 2 << (row - c)), pairs):  # blocks reached
+        end = f'{index_to_word(j) if row > c else ""}","row":{row}}}'
+        block = chain((first,), islice(pairs, (1 << c) - 1))
+        for index, (m, n), tail in zip(count(j << c), block, tails):
+            if big or m > _SAFE_INT or n > _SAFE_INT:
+                index, m, n = _json_int(index), _json_int(m), _json_int(n)
+            yield f'{{"index":{index},"m":{m},"n":{n},"word":"{tail}{end}'
 
 
 def _write_joined(parts, sep: str = "\n") -> None:

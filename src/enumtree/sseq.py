@@ -41,8 +41,8 @@ even indices.  At n = 0 the root (1, 0) is no min side, so every divisor is
 reduced there.
 """
 
-from itertools import chain, islice, pairwise
-from operator import sub
+from itertools import chain, islice, pairwise, repeat
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from . import maps
@@ -122,27 +122,34 @@ class SSeqKernel(Record):
     def _rows(self, depth: int, doubled: bool = False) -> Iterator[Iterable]:
         """Rows 0..depth of s as iterables used once, row r holding s(2**r), ...,
         s(2**(r + 1) - 1); with doubled, the tree pairs (s(2k) - s(k), s(k)), which text
-        trees, JSON sequences, stats and verify rowsums read.  With c = _BLOCK_DEPTH (one
-        less with doubled) and start = 2**d, rows to depth max(c, d) come from one s_prefix;
-        a deeper row r is the level r - t below each node j of row t = max(r - c, d), filled
-        again from _triple(j), so j >= start; while d <= c, about 2**(_BLOCK_DEPTH + 1)
-        values are live at any depth.  depth is not checked."""
-        c, d = _BLOCK_DEPTH - doubled, self.start.bit_length() - 1
+        trees, JSON sequences, stats and verify rowsums read.  Past row d, where start = 2**d,
+        a pair row takes its m from s rows r - 1 and r: net_expand's first and third branches
+        less s(2k) give m(2j) = s(2j) - s(j) and m(2j + 1) = s(2j) + s(2j + 1) + beta for
+        j >= start; rows 0..d read s(2k) off the seeds.  With c = _BLOCK_DEPTH, rows to depth
+        max(c, d) come from one s_prefix; a deeper row r is the level r - t below each node j
+        of row t = max(r - c, d), filled again from _triple(j), so j >= start; while d <= c,
+        about 2**(c + 1) values are live at any depth.  depth is not checked."""
+        c, d, beta = _BLOCK_DEPTH, self.start.bit_length() - 1, self.poly.beta
 
-        def level(vals, lo):  # slots lo .. 2 * lo - 1, and for doubled their doubles
+        def level(vals, lo, r):  # slots lo .. 2 * lo - 1, row r of s or of the pairs
             ns = vals[lo : 2 * lo]
-            return zip(map(sub, vals[2 * lo : 4 * lo : 2], ns), ns) if doubled else ns
+            if not doubled:
+                return ns
+            if r <= d:
+                return zip(map(sub, vals[2 * lo : 4 * lo : 2], ns), ns)
+            ev, od = ns[::2], ns[1::2]  # m(2j), m(2j + 1) in turn, made as they are read
+            ms = zip(map(sub, ev, vals[lo // 2 : lo]), map(add, map(add, ev, od), repeat(beta)))
+            return zip(chain.from_iterable(ms), ns)
 
         head = min(depth, max(c, d))
-        vals = self._fill((2 << head << doubled) - 1)  # slot k holds s(k)
-        yield from (level(vals, 1 << r) for r in range(head + 1))
+        vals = self._fill((2 << head) - 1)  # slot k holds s(k)
+        yield from (level(vals, 1 << r, r) for r in range(head + 1))
         del vals  # not kept while the deeper rows are filled
         for r in range(head + 1, depth + 1):
             t = max(r - c, d)
             lo = 1 << (r - t)
             yield chain.from_iterable(
-                level(self._fill((2 * lo << doubled) - 1, self._triple(j)), lo)
-                for j in range(1 << t, 2 << t)
+                level(self._fill(2 * lo - 1, self._triple(j)), lo, r) for j in range(1 << t, 2 << t)
             )
 
     def pair_at(self, k: int) -> DivisorPair:

@@ -3,10 +3,11 @@
 Each mutant changes one token of one module of src/enumtree (all but _record
 and __init__): it swaps an operator for its partner (+ and -, * and //, << and
 >>, < and <=, > and >=, == and !=, and the augmented +=, *=, <<= likewise) or
-adds 1 to an integer literal.  The sites
-are drawn with a fixed seed.  Each mutant is written into a fresh temporary
-copy of the repository, and the tier-1 suite runs there with -x, one mutant at
-a time, under a timeout.  Every site is printed with its outcome:
+adds 1 to an integer literal.  The sites are drawn with a fixed seed, or, with
+--since REV, every site on a line that `git diff -U0 REV -- src/` marks as
+added or changed is run.  Each mutant is written into a fresh temporary copy of
+the repository, and the tier-1 suite runs there with -x, one mutant at a time,
+under a timeout.  Every site is printed with its outcome:
 
     killed    a test failed
     survived  every test passed: a gap in the tests, or an equivalent mutant
@@ -15,6 +16,7 @@ a time, under a timeout.  Every site is printed with its outcome:
 It needs the standard library and pytest only:
 
     python tests/mutants.py --count 60 --seed 20261019
+    python tests/mutants.py --since HEAD~1
 
 It is not a test module (no test_ prefix), so pytest does not collect it.
 """
@@ -68,6 +70,20 @@ def apply(path: Path, row: int, col: int, old: str, new: str) -> None:
     path.write_text("".join(lines))
 
 
+def changed_lines(rev: str) -> dict[Path, set[int]]:
+    """Lines of each file under src/ that `git diff -U0 rev` marks as added or changed."""
+    diff = subprocess.run(["git", "diff", "-U0", rev, "--", "src/"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout
+    lines: dict[Path, set[int]] = {}
+    for line in diff.splitlines():
+        if line.startswith("+++ "):
+            path = ROOT / line[len("+++ b/"):]
+        elif line.startswith("@@ "):  # @@ -old[,n] +start[,count] @@, count 1 if left out
+            start, _, count = line.split()[2][1:].partition(",")
+            lines.setdefault(path, set()).update(range(int(start), int(start) + int(count or 1)))
+    return lines
+
+
 def run_suite(copy: Path, timeout: float) -> str:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -89,12 +105,18 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, default=60, help="mutants to run")
     parser.add_argument("--seed", type=int, default=20261019)
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
+    parser.add_argument("--since", metavar="REV",
+                        help="run every site on the lines changed since REV, not a sample")
     args = parser.parse_args(argv)
 
     modules = sorted(p for p in (ROOT / "src" / "enumtree").glob("*.py")
                      if p.name not in SKIPPED_MODULES)
     every = [(p, *site) for p in modules for site in sites(p)]
-    chosen = random.Random(args.seed).sample(every, min(args.count, len(every)))
+    if args.since:
+        changed = changed_lines(args.since)
+        chosen = [site for site in every if site[1] in changed.get(site[0], ())]
+    else:
+        chosen = random.Random(args.seed).sample(every, min(args.count, len(every)))
     print(f"{len(every)} sites in {len(modules)} modules; running {len(chosen)}", flush=True)
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
     tally: dict[str, int] = {}

@@ -515,7 +515,7 @@ def test_verify_bijectivity_catches_a_mirrored_index_map(capsys, monkeypatch):
 
 
 def test_verify_recursions_reads_the_kernels_deep_blocks(capsys, monkeypatch):
-    # at block depth 4 the pair rows past row 3 are filled from the tops _triple(j)
+    # at block depth 4 the pair rows past row 4 are filled from the tops _triple(j)
     default = run(capsys, "verify", "recursions")
     monkeypatch.setattr(sseq, "_BLOCK_DEPTH", 4)
     assert run(capsys, "verify", "recursions") == default
@@ -528,8 +528,8 @@ def test_verify_recursions_reads_the_kernels_deep_blocks(capsys, monkeypatch):
 
     monkeypatch.setattr(sseq.SSeqKernel, "_fill", corrupt)
     failures = _SUITES["recursions"][0](8)[1]
-    assert len(failures) == len(ENUMERABLE_POLYS) * 5  # rows 4..8 of each tree
-    assert failures[0] == "phi0: row 4 of the kernel's pairs disagrees with the tree"
+    assert len(failures) == len(ENUMERABLE_POLYS) * 4  # rows 5..8 of each tree
+    assert failures[0] == "phi0: row 5 of the kernel's pairs disagrees with the tree"
 
 
 def test_outputs_are_deterministic(capsys):
@@ -559,6 +559,35 @@ def test_large_integers_serialized_as_strings(capsys):
         {"index": 2, "m": 2**53 - 1, "n": str(2**53), "word": "S", "row": 1},
         {"index": 3, "m": str(2**53), "n": 2**53 - 1, "word": "T", "row": 1},
     ]
+
+
+def _json_line_oracle(index, m, n):
+    def value(v):
+        return v if v <= 2**53 - 1 else str(v)
+
+    record = {"index": value(index), "m": value(m), "n": value(n),
+              "word": index_to_word(index), "row": index.bit_length() - 1}
+    return json.dumps(record, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("row, count", [
+    (0, 1), (4, 16), (10, 1024), (10, 5), (11, 2048), (12, 1023), (12, 1025), (12, 4096),
+    (52, 3), (53, 3), (70, 1030),
+])
+def test_json_lines_match_the_per_node_oracle(row, count):
+    # words past row 10 come from a table of the first 10 letters and one word per block
+    # of 2**10 lines; the pairs run out mid-row, at a block edge, or with the row
+    rng = random.Random(row * count)
+    pairs = [(rng.choice([1, 2**53 - 1, 2**53, 7**30]), rng.randrange(2**54)) for _ in range(count)]
+    lines = list(cli._json_lines(row, pairs))
+    assert lines == [_json_line_oracle(k, m, n) for k, (m, n) in enumerate(pairs, 1 << row)]
+
+
+@pytest.mark.parametrize("row", [3, 11])
+def test_json_lines_stop_at_the_end_of_the_row(row):
+    # pairs past the row's 2**row nodes make no line
+    pairs = iter([(1, 0)] * ((1 << row) + 5))
+    assert len(list(cli._json_lines(row, pairs))) == 1 << row
 
 
 def test_results_unchanged_under_python_O():
@@ -653,7 +682,7 @@ GOLDEN_STATS_SHA256 = [
     ("phi3", "12", "json", "b30cf1e21a1333d5b1320b7ab11b5e4c408317e98a9840835dfa77b80ef06bbf"),
     ("phi0", "14", "json", "411c198efe0d00a124377ce6ee94a826d419435d3fa2a2b5de8cd072c7a7cb26"),
     # recorded from the CLI that summed whole rows of maps.int_tree_rows; rows
-    # 14..16 lie past the doubled block depth, so they come from filled tops
+    # 15..16 lie past the block depth, so they come from filled tops
     ("phi0", "16", "text", "e553953d620dac0877e7d58cc74385974a70212666a9e425e522a4d17bd71cfd"),
     ("phi0", "16", "json", "8a20fa0fa82b738489e9ab201160ba1af97a6be2504754fd5ec01117ed300ffd"),
 ]
@@ -960,9 +989,9 @@ def _peak_and_digest(monkeypatch, block, argv):
 
 def test_text_tree_memory_is_bounded(monkeypatch):
     # depth 14: 32,767 nodes, 0.5 MB of text; about 0.22 MB traced streamed in
-    # writes of about 16 KB (0.63 MB in writes of 4,096 cells), 3.1 MB at block
-    # depth 15 (rows 0..14 and their doubles from one fill) and 3.1 MB at the
-    # commit before the streamer
+    # writes of about 16 KB (0.63 MB in writes of 4,096 cells), 1.8 MB at block
+    # depth 15 (rows 0..14 from one fill; 3.1 MB while pair rows filled the level
+    # below too) and 3.1 MB at the commit before the streamer
     depth = 14
     expected = _sha256(
         "  " * r + "  ".join(map(str, row)) + "\n" for r, row in enumerate(tree_rows(PHI0, depth))
@@ -978,10 +1007,11 @@ def test_text_tree_memory_is_bounded(monkeypatch):
     "fmt, bound", [("bfile", 530_000), ("json", 300_000)], ids=["bfile", "json"]
 )
 def test_seq_memory_is_bounded(monkeypatch, fmt, bound):
-    # 2^15 terms, to the first of row 15; about 0.44 / 0.13 MB traced streamed in
+    # 2^15 terms, to the first of row 15; about 0.44 / 0.19 MB traced streamed in
     # writes of about 16 KB (0.61 / 1.08 MB in writes of 4,096 lines; the b-file's
-    # first write is 4,097 lines, sized from its 4-byte "1 0"), 3.2 / 6.1 MB in one
-    # block and 2.2 / 4.2 MB at the commit before the streamer
+    # first write is 4,097 lines, sized from its 4-byte "1 0"; the json's 2^10 word
+    # tails are 0.06 MB of it), 3.2 / 3.7 MB in one block (6.1 MB for json while pair
+    # rows filled the level below too) and 2.2 / 4.2 MB at the commit before the streamer
     count = 1 << 15
     s = [0, *kernel_for(PHI0).s_prefix(2 * count + 1)]  # s[k] is s(k)
     ks = range(1, count + 1)
@@ -1053,8 +1083,9 @@ def test_verify_rowsums_past_the_doubled_block_depth_matches_golden_hash(capsys)
 ], ids=["stats", "verify-rowsums"])
 def test_row_sums_memory_is_bounded(monkeypatch, argv, digest):
     # rows 0..14 of phi0 (verify rowsums' default bound): about 0.85 MB traced
-    # streamed, 3.7 MB at block depth 15 (rows 0..14 and their doubles from one
-    # fill) and 3.6 MB at the commit that summed whole rows of maps.int_tree_rows
+    # streamed, 2.5 MB at block depth 15 (rows 0..14 from one fill; 3.7 MB while
+    # pair rows filled the level below too) and 3.6 MB at the commit that summed
+    # whole rows of maps.int_tree_rows
     streamed = _peak_and_digest(monkeypatch, _SMALL_BLOCK_DEPTH, argv.split())
     whole = _peak_and_digest(monkeypatch, 15, argv.split())
     assert streamed[1] == whole[1] == digest

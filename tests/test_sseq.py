@@ -468,11 +468,10 @@ def _boundary_counts(block):
 def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, doubled, depth):
     # the rows of _rows, cut at each count as seq cuts them; a row deeper than the
     # block depth is filled block by block.  psi2's late seeds lie below index 8,
-    # inside the first fill at any block depth; doubled blocks are one level shallower
+    # inside the first fill at any block depth; pair rows keep the block depth
     monkeypatch.setattr(sseq, "_BLOCK_DEPTH", depth)
-    block = depth - doubled
     kern = kernel_for(f)
-    counts = _boundary_counts(block)
+    counts = _boundary_counts(depth)
     s = [0, *kern.s_prefix(2 * counts[-1] + 1)]  # s[k] is s(k)
     for count in counts:
         k = 1

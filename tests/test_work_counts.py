@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from enumtree import analytics, maps, sseq
+from enumtree import analytics, cli, maps, sseq
 from enumtree.cli import _SUITES
 from enumtree.maps import f_hat, f_hat_inverse, int_tree_rows
 from enumtree.monoid import word_to_matrix
@@ -33,13 +33,15 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-# net_expand calls of _rows(d, doubled) read in full at block depth 6, at d = 10 and 11;
-# psi2's kernel starts at 2, so its head fill and its top walks are shorter
+# net_expand calls of _rows(d, doubled) read in full at block depth 6, at d = 10 and 11:
+# a head fill of slots to 2**7 - 1 (31 calls from slot 1, 30 from psi2's start 2) and,
+# per row r past 6, 2**t blocks (t = r - 6) of a t-digit top walk (t - 1 for psi2) and a
+# 31-call fill.  Pair rows take m from the s levels they hold, so they fill no more.
 _ROWS_CALLS = {
-    ("phi0", False): (1059, 2211), ("phi0", True): (2211, 4579),
-    ("phi1", False): (1059, 2211), ("phi1", True): (2211, 4579),
-    ("psi2", False): (1028, 2148), ("psi2", True): (2148, 4452),
-    ("phi3", False): (1059, 2211), ("phi3", True): (2211, 4579),
+    ("phi0", False): (1059, 2211), ("phi0", True): (1059, 2211),
+    ("phi1", False): (1059, 2211), ("phi1", True): (1059, 2211),
+    ("psi2", False): (1028, 2148), ("psi2", True): (1028, 2148),
+    ("phi3", False): (1059, 2211), ("phi3", True): (1059, 2211),
 }
 
 
@@ -56,13 +58,30 @@ def test_streamed_rows_expand_a_pinned_number_of_nodes(monkeypatch, name, double
             for _ in row:
                 pass
         counts.append(calls[0])
-    assert tuple(counts) == _ROWS_CALLS[name, doubled]
-    # Past the head, row r is 2**t blocks (t = r - c, c = block - doubled), each a top walk
-    # of at most t digits and a fill of 2**(block - 1) - 1 calls.  Row d + 1 thus costs
-    # twice row d plus one call per block top: the total at most doubles, plus
-    # 2**(d + 2 - c) calls and one fill.
+    head = ((1 << (block + 1)) - 1) // 4 - kern.start + 1
     fill = (1 << (block - 1)) - 1
-    assert counts[1] <= 2 * counts[0] + (1 << (12 - block + doubled)) + fill
+    walk = kern.start.bit_length() - 1  # the top's digits read off the seeds
+    deep = sum((1 << t) * (t - walk + fill) for t in range(1, 10 - block + 1))
+    assert counts[0] == head + deep
+    assert tuple(counts) == _ROWS_CALLS[name, doubled]
+    # Past the head, row r is 2**t blocks (t = r - c, c = block), each a top walk of at
+    # most t digits and a fill of 2**(block - 1) - 1 calls.  Row d + 1 thus costs twice
+    # row d plus one call per block top: the total at most doubles, plus 2**(d + 2 - c)
+    # calls and one fill.
+    assert counts[1] <= 2 * counts[0] + (1 << (12 - block)) + fill
+
+
+# index_to_word calls of _json_lines(row, pairs) for the first `pairs` nodes of a row: one
+# per line to row 10, the word table's depth; past it the 2**10 tail words and one word per
+# block of 2**10 lines reached, so a full row makes 2**10 + 2**(row - 10) in place of 2**row
+@pytest.mark.parametrize("row, pairs, words", [
+    (0, 1, 1), (3, 8, 8), (10, 1024, 1024), (10, 3, 3),
+    (11, 2048, 1026), (13, 8192, 1032), (12, 1024, 1025), (12, 1025, 1026), (60, 1, 1025),
+])
+def test_json_lines_make_a_word_per_block_past_the_table_depth(monkeypatch, row, pairs, words):
+    calls = _counting(monkeypatch, cli, "index_to_word")
+    assert sum(1 for _ in cli._json_lines(row, [(1, 0)] * pairs)) == pairs
+    assert calls[0] == words
 
 
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
@@ -109,10 +128,10 @@ def test_row_stats_merges_one_term_per_distinct_m(monkeypatch, name, distinct, g
 
 
 def test_verify_recursions_makes_no_digit_walk_below_the_block_depth(monkeypatch):
-    # bounds to 13 are read from one fill of s (pair rows take c = _BLOCK_DEPTH - 1);
-    # a walk per node, as pair_at makes, would be 2**(bound + 1) - 1 calls per tree
+    # bounds to 14 are read from one fill of s (pair rows take c = _BLOCK_DEPTH, as s rows
+    # do); a walk per node, as pair_at makes, would be 2**(bound + 1) - 1 calls per tree
     calls = _counting(monkeypatch, sseq.SSeqKernel, "_triple")
-    for bound in range(sseq._BLOCK_DEPTH):
+    for bound in range(sseq._BLOCK_DEPTH + 1):
         assert _SUITES["recursions"][0](bound)[1] == []
         assert calls[0] == 0, bound
 
