@@ -1,7 +1,7 @@
 """Frozen value records, without the start-up cost of importing dataclasses.
 
-A record's fields are its __slots__, filled in order by set_field: a record
-without checks inherits Record.__init__ for that, one with checks writes its own.
+A record's fields are its __slots__, bound in order by Record.__init__ alone: a
+record with checks calls it after them, or before them where they print the record.
 _fields() reads them in order, and equality, hashing, repr and pickling all go
 by it.
 """

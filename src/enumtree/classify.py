@@ -128,15 +128,13 @@ def _cauchy_bound(coeffs: tuple[int, ...]) -> int:
 def _growth_certified(f: Poly, lower: int) -> bool:
     """Certified check that 2 f(n) > 3 n^2 for every integer n > lower.
 
-    g = 2f - 3x^2 has positive leading coefficient here, so g > 0 beyond its
-    Cauchy root bound; the finitely many n in (lower, bound] are checked
-    exactly.
+    g = 2f - 3x^2 has positive leading coefficient for every f composite_witness
+    admits, so g > 0 beyond its Cauchy root bound; the finitely many n in
+    (lower, bound] are checked exactly.
     """
     cs = [2 * c for c in f.coeffs]
     cs[2] -= 3
     g = poly(*cs)
-    if not g.coeffs or g.leading <= 0:
-        raise ValueError(f"2f - 3x^2 has no positive leading coefficient for f = {f}")
     return all(g(n) > 0 for n in range(lower + 1, _cauchy_bound(g.coeffs) + 1))
 
 

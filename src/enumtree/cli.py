@@ -135,7 +135,7 @@ def _chain_text(pairs):
 
 
 def _resolve_budget(args) -> int:
-    name, raw = "--max-nodes", getattr(args, "max_nodes", None)
+    name, raw = "--max-nodes", args.max_nodes
     if raw is None:
         name = "ENUMTREE_MAX_NODES"
         raw = os.environ.get(name, DEFAULT_NODE_BUDGET)

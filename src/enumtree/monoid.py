@@ -16,7 +16,7 @@ first step down from the root.
 All values are immutable; entries are arbitrary-precision.
 """
 
-from ._record import Record, set_field
+from ._record import Record
 
 __all__ = [
     "Mat2",
@@ -39,10 +39,7 @@ class Mat2(Record):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "d", d)
+        super().__init__(a, b, c, d)  # bound first: the messages below print self
         if min(a, b, c, d) < 0:
             raise ValueError(f"negative entry in {self!r}")
         if a * d - b * c != 1:

@@ -26,7 +26,7 @@ q + k*(2n + b + k*m), which integer moves use in place of evaluating f.
 from math import isqrt
 from typing import Union
 
-from ._record import Record, set_field
+from ._record import Record
 
 __all__ = [
     "Poly",
@@ -64,7 +64,7 @@ class Poly(Record):
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use poly() to normalize")
-        set_field(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     def __call__(self, n: int) -> int:
         out = 0
@@ -124,8 +124,7 @@ class EnumerablePoly(Record):
         r = (isqrt(max(b * b - 4 * c, 0)) - b) // 2  # the larger root, if an integer
         if r >= 0 and poly(r) == 0:
             raise ValueError(f"{poly} vanishes at n = {r}, where c_bar is undefined")
-        set_field(self, "name", name)
-        set_field(self, "poly", poly)
+        super().__init__(name, poly)
 
     @property
     def beta(self) -> int:
@@ -182,9 +181,7 @@ class DivisorPair(Record):
             raise BadPair(f"second component must be >= 0, got {n}")
         if abs(poly(n)) % m != 0:
             raise BadPair(f"{m} does not divide |f({n})| for f = {poly}")
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "poly", poly)
+        super().__init__(m, n, poly)
 
     def components(self) -> tuple[int, int]:
         return (self.m, self.n)

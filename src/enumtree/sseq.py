@@ -119,9 +119,9 @@ class SSeqKernel(Record):
             raise ValueError(f"count must be >= 1, got {count}")
         return self._fill(count)[1 : count + 1]
 
-    def _rows(self, depth: int, doubled: bool = False) -> Iterator[Iterable]:
+    def _rows(self, depth: int, pairs: bool = False) -> Iterator[Iterable]:
         """Rows 0..depth of s as iterables used once, row r holding s(2**r), ...,
-        s(2**(r + 1) - 1); with doubled, the tree pairs (s(2k) - s(k), s(k)), which text
+        s(2**(r + 1) - 1); with pairs, the tree pairs (s(2k) - s(k), s(k)), which text
         trees, JSON sequences, stats and verify rowsums read.  Past row d, where start = 2**d,
         a pair row takes its m from s rows r - 1 and r: net_expand's first and third branches
         less s(2k) give m(2j) = s(2j) - s(j) and m(2j + 1) = s(2j) + s(2j + 1) + beta for
@@ -133,7 +133,7 @@ class SSeqKernel(Record):
 
         def level(vals, lo, r):  # slots lo .. 2 * lo - 1, row r of s or of the pairs
             ns = vals[lo : 2 * lo]
-            if not doubled:
+            if not pairs:
                 return ns
             if r <= d:
                 return zip(map(sub, vals[2 * lo : 4 * lo : 2], ns), ns)

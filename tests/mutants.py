@@ -7,11 +7,16 @@ adds 1 to an integer literal.  The sites are drawn with a fixed seed, or, with
 --since REV, every site on a line that `git diff -U0 REV -- src/` marks as
 added or changed is run.  Each mutant is written into a fresh temporary copy of
 the repository, and the tier-1 suite runs there with -x, one mutant at a time,
-under a timeout.  Every site is printed with its outcome:
+under a timeout.  The unmutated suite runs first and must pass; unless --timeout
+is given, each mutant may take that green run's time plus twice TEST_DEADLINE_S
+of tests/conftest.py (a test past the deadline fails, and a stall inside C ends
+the run at twice it).  Every site is printed with its outcome:
 
     killed    a test failed
+    deadline  a test ran past TEST_DEADLINE_S (a loop that no longer ends), and
+              failed; the test it names is printed
     survived  every test passed: a gap in the tests, or an equivalent mutant
-    timeout   the suite ran past --timeout (a loop that no longer ends)
+    timeout   the suite ran past --timeout
 
 It needs the standard library and pytest only:
 
@@ -25,6 +30,7 @@ import argparse
 import io
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -33,6 +39,8 @@ import tempfile
 import time
 import tokenize
 from pathlib import Path
+
+from conftest import TEST_DEADLINE_S  # tests/ is on sys.path when this runs as a script
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED_MODULES = {"_record.py", "__init__.py"}
@@ -84,27 +92,41 @@ def changed_lines(rev: str) -> dict[Path, set[int]]:
     return lines
 
 
-def run_suite(copy: Path, timeout: float) -> str:
+def copy_repo(tmp: str) -> Path:
+    copy = Path(tmp) / "repo"
+    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+    return copy
+
+
+def run_suite(copy: Path, timeout: float | None) -> tuple[str, str]:
+    """The suite's outcome in copy, and the test that ran past the deadline, if one did."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
-    # a session of its own, so a timeout stops the CLI children the tests start too
-    proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL, start_new_session=True)
-    try:
-        code = proc.wait(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-        return "timeout"
-    return "survived" if code == 0 else "killed"
+    log = copy.parent / "pytest.log"
+    with log.open("w") as out:
+        # a session of its own, so a timeout stops the CLI children the tests start too
+        proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=out,
+                                stderr=subprocess.STDOUT, start_new_session=True)
+        try:
+            code = proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "timeout", ""
+    hung = re.search(r"DeadlineExceeded: (\S+) ran past", log.read_text())
+    if hung:
+        return "deadline", hung[1]
+    return ("survived" if code == 0 else "killed"), ""
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=60, help="mutants to run")
     parser.add_argument("--seed", type=int, default=20261019)
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
+    parser.add_argument("--timeout", type=float,
+                        help="seconds per mutant (default: from the green run, see above)")
     parser.add_argument("--since", metavar="REV",
                         help="run every site on the lines changed since REV, not a sample")
     args = parser.parse_args(argv)
@@ -118,20 +140,32 @@ def main(argv=None) -> int:
     else:
         chosen = random.Random(args.seed).sample(every, min(args.count, len(every)))
     print(f"{len(every)} sites in {len(modules)} modules; running {len(chosen)}", flush=True)
-    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+    if not chosen:
+        return 0
+    with tempfile.TemporaryDirectory(prefix="green-") as tmp:
+        copy = copy_repo(tmp)
+        start = time.monotonic()
+        outcome, _ = run_suite(copy, None)
+    green = time.monotonic() - start
+    if outcome != "survived":
+        print(f"the unmutated suite did not pass ({outcome}); no mutant run", flush=True)
+        return 1
+    timeout = args.timeout or green + 2 * TEST_DEADLINE_S
+    print(f"green run {green:.1f}s; {timeout:.0f}s per mutant", flush=True)
     tally: dict[str, int] = {}
     for i, (path, row, col, old, new) in enumerate(chosen, 1):
         with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-            copy = Path(tmp) / "repo"
-            shutil.copytree(ROOT, copy, ignore=ignore)
+            copy = copy_repo(tmp)
             apply(copy / path.relative_to(ROOT), row, col, old, new)
             start = time.monotonic()
-            outcome = run_suite(copy, args.timeout)
+            outcome, hung = run_suite(copy, timeout)
         tally[outcome] = tally.get(outcome, 0) + 1
         site = f"{path.relative_to(ROOT)}:{row}:{col + 1}"
         text = path.read_text().splitlines()[row - 1].strip()
         print(f"{i:3d} {outcome:8s} {time.monotonic() - start:6.1f}s {site} {old!r} -> {new!r}"
               f"  | {text}", flush=True)
+        if hung:
+            print(f"    {hung} ran past {TEST_DEADLINE_S} s", flush=True)
     print("tally: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())), flush=True)
     return 0
 

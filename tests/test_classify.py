@@ -159,8 +159,10 @@ def test_composite_witness_more_shapes():
 
 def test_composite_witness_takes_the_least_certified_a():
     # the least a with |f(-a)| > 3a and 2 f(n) > 3 n^2 for every n > 2a; past n = 5000
-    # every shape below has 2 f - 3 x^2 > 0, and for 2x^2 - 100x + 1 it is negative up to 199
-    for coeffs, least in [((1, -100, 2), 100), ((1, -50, 3), 17), ((-7, 0, -60, 1), 31)]:
+    # every shape below has 2 f - 3 x^2 > 0, and for 2x^2 - 100x + 1 it is negative up to 199;
+    # it is (x - 8)^2 for 2x^2 - 8x + 32, 0 at n = 8, and 1 at n = 81 for 2x^2 - 40x - 40
+    for coeffs, least in [((1, -100, 2), 100), ((1, -50, 3), 17), ((-7, 0, -60, 1), 31),
+                          ((32, -8, 2), 4), ((-40, -40, 2), 40)]:
         f = poly(*coeffs)
         a = next(
             a for a in range(1, 2500)

@@ -114,6 +114,15 @@ def test_nonpositive_max_nodes_is_usage_error(capsys, argv, value):
     assert err == f"error: --max-nodes must be a positive integer, got {value}\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+@pytest.mark.parametrize("argv", [["tree", "phi0", "--depth", "2"], ["stats", "phi0", "--kmax", "5"]])
+def test_bad_budget_env_var_is_usage_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("ENUMTREE_MAX_NODES", value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: ENUMTREE_MAX_NODES must be a positive integer, got {value!r}\n"
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and out.startswith("usage: enumtree")

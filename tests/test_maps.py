@@ -66,6 +66,16 @@ def test_psi_beta_examples():
     assert psi_beta(2, GEN_T).components() == (2, 1)
 
 
+def test_psi_beta_meets_a_tie_only_at_the_identity():
+    # ac == bd with ad - bc == 1 gives d(a^2 - b^2) = a, so b = c = 0 and a = d = 1;
+    # psi_beta's max/min choices rest on it.  Every word of up to 12 letters, 8,191.
+    row, ties = [IDENTITY], []
+    for _ in range(13):
+        ties += [x for x in row if x.a * x.c == x.b * x.d]
+        row = [y for x in row for y in (mat_mul(GEN_S, x), mat_mul(GEN_T, x))]
+    assert ties == [IDENTITY]
+
+
 def test_f_hat_examples():
     assert f_hat(PHI0, word_to_matrix("TSS")).components() == (10, 7)
     assert f_hat(PHI1, word_to_matrix("SSTSST")).components() == (37, 100)

@@ -463,9 +463,9 @@ def _boundary_counts(block):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, sseq._BLOCK_DEPTH])
-@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("pairs", [False, True])
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
-def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, doubled, depth):
+def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, pairs, depth):
     # the rows of _rows, cut at each count as seq cuts them; a row deeper than the
     # block depth is filled block by block.  psi2's late seeds lie below index 8,
     # inside the first fill at any block depth; pair rows keep the block depth
@@ -475,12 +475,12 @@ def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, doubled, d
     s = [0, *kern.s_prefix(2 * counts[-1] + 1)]  # s[k] is s(k)
     for count in counts:
         k = 1
-        for r, row in enumerate(kern._rows(count.bit_length() - 1, doubled)):
+        for r, row in enumerate(kern._rows(count.bit_length() - 1, pairs)):
             values = list(islice(row, count + 1 - k))
             assert k == 1 << r and len(values) == min(k, count + 1 - k)  # one row, whole or cut
-            ns = [n for _, n in values] if doubled else values
+            ns = [n for _, n in values] if pairs else values
             assert ns == s[k : k + len(values)], (count, k)
-            if doubled:  # the pair (s(2k) - s(k), s(k))
+            if pairs:  # the pair (s(2k) - s(k), s(k))
                 assert [m + n for m, n in values] == s[2 * k : 2 * (k + len(values)) : 2]
             k += len(values)
         assert k == count + 1

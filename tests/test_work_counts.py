@@ -33,7 +33,7 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-# net_expand calls of _rows(d, doubled) read in full at block depth 6, at d = 10 and 11:
+# net_expand calls of _rows(d, pairs) read in full at block depth 6, at d = 10 and 11:
 # a head fill of slots to 2**7 - 1 (31 calls from slot 1, 30 from psi2's start 2) and,
 # per row r past 6, 2**t blocks (t = r - 6) of a t-digit top walk (t - 1 for psi2) and a
 # 31-call fill.  Pair rows take m from the s levels they hold, so they fill no more.
@@ -45,8 +45,8 @@ _ROWS_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name, doubled", list(_ROWS_CALLS))
-def test_streamed_rows_expand_a_pinned_number_of_nodes(monkeypatch, name, doubled):
+@pytest.mark.parametrize("name, pairs", list(_ROWS_CALLS))
+def test_streamed_rows_expand_a_pinned_number_of_nodes(monkeypatch, name, pairs):
     block = 6
     monkeypatch.setattr(sseq, "_BLOCK_DEPTH", block)
     kern = kernel_for(_BY_NAME[name])
@@ -54,7 +54,7 @@ def test_streamed_rows_expand_a_pinned_number_of_nodes(monkeypatch, name, double
     counts = []
     for depth in (10, 11):
         calls[0] = 0
-        for row in kern._rows(depth, doubled):
+        for row in kern._rows(depth, pairs):
             for _ in row:
                 pass
         counts.append(calls[0])
@@ -63,7 +63,7 @@ def test_streamed_rows_expand_a_pinned_number_of_nodes(monkeypatch, name, double
     walk = kern.start.bit_length() - 1  # the top's digits read off the seeds
     deep = sum((1 << t) * (t - walk + fill) for t in range(1, 10 - block + 1))
     assert counts[0] == head + deep
-    assert tuple(counts) == _ROWS_CALLS[name, doubled]
+    assert tuple(counts) == _ROWS_CALLS[name, pairs]
     # Past the head, row r is 2**t blocks (t = r - c, c = block), each a top walk of at
     # most t digits and a fill of 2**(block - 1) - 1 calls.  Row d + 1 thus costs twice
     # row d plus one call per block top: the total at most doubles, plus 2**(d + 2 - c)
