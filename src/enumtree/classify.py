@@ -145,12 +145,12 @@ def composite_witness(f: PolyLike) -> tuple[int, int, int, int]:
     be tree-enumerable.  Requires a positive leading coefficient and either
     degree >= 3, or degree 2 with leading coefficient >= 2.  a is the smallest
     value satisfying |f(-a)| > 3a together with the certified growth bound.
+    Nothing is re-tested: n0 + a = |f(-a)| divides f(n0), as n0 is -a modulo it, and
+    n0 > 2a gives 2 f(n0) > 3 n0^2 > 2 n0 (n0 + a), so the cofactor exceeds n0.
     """
     f = as_poly(f)
     deg = f.degree
-    if not (
-        f.coeffs and f.leading > 0 and (deg >= 3 or (deg == 2 and f.leading >= 2))
-    ):
+    if not (f.coeffs and f.leading > 0 and (deg >= 3 or (deg == 2 and f.leading >= 2))):
         raise ValueError(
             f"f = {f} is outside the witness construction's range"
             " (need positive lead and degree >= 3, or degree 2 with lead >= 2)"
@@ -159,8 +159,4 @@ def composite_witness(f: PolyLike) -> tuple[int, int, int, int]:
     while not (abs(f(-a)) > 3 * a and _growth_certified(f, 2 * a)):  # both hold for large a
         a += 1
     n0 = abs(f(-a)) - a
-    value = f(n0)
-    q, r = divmod(value, n0 + a)
-    if r != 0 or q - n0 < 1:
-        raise ArithmeticError(f"witness construction failed at a = {a}")
-    return (a, n0, n0 + a, q)
+    return (a, n0, n0 + a, f(n0) // (n0 + a))

@@ -32,9 +32,9 @@ dict of row 20's distinct m).  Only tree --format json walks the DivisorPair mov
 maps.tree_rows; JSON trees and sequences share _json_lines, whose words past row 10
 come from a table of 2^10 tails and one word per block of 2^10 lines.
 The node budget defaults to 2^21 and can be set with --max-nodes or the
-ENUMTREE_MAX_NODES environment variable (the flag wins).  Each depth is checked once,
-before any row, by maps.check_tree_size, which int_tree_rows calls for verify recursions
-and kernel seed rows: a negative or oversized depth exits 2 with empty stdout.
+ENUMTREE_MAX_NODES environment variable (the flag wins).  Each depth is checked once, in
+O(1), by maps.check_tree_size, which int_tree_rows calls for verify recursions and kernel
+seed rows: every negative or oversized depth exits 2 with empty stdout before any work.
 """
 
 import argparse
@@ -44,7 +44,7 @@ from itertools import chain, count, islice
 from math import isqrt
 
 from . import analytics, classify
-from .arith import FactorLimitExceeded, divisors, is_prime
+from .arith import FactorLimitExceeded, divisors, is_prime, primes_up_to
 from .maps import (
     DEFAULT_NODE_BUDGET,
     NodeBudgetExceeded,
@@ -355,7 +355,7 @@ def _suite_recursions(bound: int):
             if row != list(pairs):
                 failures.append(f"{f}: row {r} of the kernel's pairs disagrees with the tree")
             checked += len(row)
-        s = [0, *kernel.s_prefix(4 * (1 << bound) + 4)]  # s[j] is s(j)
+        s = kernel._fill(4 * (1 << bound) + 4)  # slot j holds s(j)
         for k in range(kernel.start, (1 << bound) + 1):
             ok = (
                 s[4 * k] == 2 * s[2 * k] - s[k]
@@ -414,11 +414,12 @@ def _suite_classification(bound: int):
 
 def _suite_prime_reps(bound: int):
     checked, failures = 0, []
-    for p in analytics.primes_with_divisor(PHI0, bound):
+    for p in primes_up_to(bound):
         for n in analytics.roots_mod_p(PHI0, p):
-            rep = analytics.prime_representation(PHI0, p, n)
-            if rep.product() != p:
-                failures.append(f"representation of {p} at n = {n} is off")
+            try:  # raises unless the representation's product telescopes to p
+                analytics.prime_representation(PHI0, p, n)
+            except ArithmeticError as exc:
+                failures.append(str(exc))
             checked += 1
     return checked, failures
 

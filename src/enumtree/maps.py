@@ -66,8 +66,8 @@ def check_tree_size(depth: int, max_nodes: int, name: str = "depth") -> None:
     """Refuse a negative depth, or rows 0..depth beyond max_nodes in total, by its name."""
     if depth < 0:
         raise ValueError(f"{name} must be >= 0, got {depth}")
-    total = (1 << (depth + 1)) - 1
-    if total > max_nodes:
+    if depth + 1 >= (max_nodes + 1).bit_length():  # 2^(depth+1) - 1 > max_nodes, in O(1)
+        total = (1 << (depth + 1)) - 1 if depth < 64 else f"2^{depth + 1} - 1"
         raise NodeBudgetExceeded(f"{name} {depth} needs {total} nodes, budget is {max_nodes}")
 
 

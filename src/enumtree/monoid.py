@@ -56,7 +56,6 @@ GEN_S = Mat2(1, 0, 1, 1)
 GEN_T = Mat2(1, 1, 0, 1)
 IDENTITY = Mat2(1, 0, 0, 1)
 
-_GEN = {"S": GEN_S, "T": GEN_T}
 _DIGIT_LETTERS = str.maketrans("01", "ST")
 _LETTER_DIGITS = str.maketrans("ST", "01")
 
@@ -91,12 +90,15 @@ def _check_word(word: str) -> None:
 
 
 def word_to_matrix(word: str) -> Mat2:
-    """Product of the generators named by word (rightmost letter applied first)."""
+    """Product of the generators named by word (rightmost letter applied first), one Mat2."""
     _check_word(word)
-    out = IDENTITY
+    a, b, c, d = 1, 0, 0, 1
     for letter in reversed(word):
-        out = mat_mul(_GEN[letter], out)
-    return out
+        if letter == "S":
+            c, d = c + a, d + b  # S*A adds A's top row to its bottom row
+        else:
+            a, b = a + c, b + d  # T*A adds A's bottom row to its top row
+    return Mat2(a, b, c, d)
 
 
 def matrix_to_word(x: Mat2) -> str:

@@ -157,6 +157,17 @@ def test_composite_witness_more_shapes():
         assert f(n0) == f1 * f2 and min(f1, f2) > n0
 
 
+def test_composite_witness_factors_need_no_check():
+    # n0 + a = |f(-a)| divides f(n0) and the cofactor exceeds n0, for every shape in range
+    shapes = [poly(c0, c1, lead) for lead in range(2, 6) for c1 in range(-9, 10, 3)
+              for c0 in range(-9, 10, 3)]
+    shapes += [poly(c0, c1, c2, lead) for lead in (1, 2) for c2 in (-5, 0, 5) for c1 in (-4, 4)
+               for c0 in (-7, 0, 7)]
+    for f in shapes:
+        a, n0, f1, f2 = composite_witness(f)
+        assert (f1, f1 * f2) == (n0 + a, f(n0)) and min(f1, f2) > n0 > 2 * a, f
+
+
 def test_composite_witness_takes_the_least_certified_a():
     # the least a with |f(-a)| > 3a and 2 f(n) > 3 n^2 for every n > 2a; past n = 5000
     # every shape below has 2 f - 3 x^2 > 0, and for 2x^2 - 100x + 1 it is negative up to 199;

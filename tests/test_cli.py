@@ -336,6 +336,24 @@ def test_tree_refusal_names_its_depth(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, name, depth",
+    [
+        (["tree", "phi0", "--depth", "100000000000"], "depth", 100000000000),
+        (["tree", "phi0", "--depth", "20000"], "depth", 20000),
+        (["stats", "phi0", "--kmax", "3000000000"], "kmax", 3000000000),
+        (["verify", "recursions", "--bound", "100000000000"], "bound", 100000000000),
+        (["verify", "rowsums", "--bound", "100000000000"], "bound", 100000000000),
+    ],
+)
+def test_an_oversized_depth_exits_2_before_any_work(capsys, monkeypatch, argv, name, depth):
+    # the count 2^(depth + 1) - 1 is neither built nor printed in decimal
+    _no_row_walks(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    message = f"error: {name} {depth} needs 2^{depth + 1} - 1 nodes, budget is 2097152\n"
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
     "exc", [FactorLimitExceeded("rho schedule exhausted"), ArithmeticError("unreachable pair")]
 )
 def test_arithmetic_give_up_has_its_own_exit_code(capsys, monkeypatch, exc):
@@ -438,6 +456,23 @@ def test_primerep(capsys):
     assert lines["value"] == "113 = 226 / (2)"
     code, _, err = run(capsys, "primerep", "phi0", "10", "3")
     assert code == 3
+
+
+def test_verify_prime_reps_reports_a_representation_that_does_not_telescope(capsys, monkeypatch):
+    # prime_representation refuses it, and the suite records the refusal as its failure line
+    product = analytics.PrimeRepresentation.product
+
+    def off_at_29(rep):
+        return product(rep) + (rep.p == 29)
+
+    monkeypatch.setattr(analytics.PrimeRepresentation, "product", off_at_29)
+    code, out, err = run(capsys, "verify", "prime-reps", "--bound", "50")
+    summary = json.loads(out)
+    assert (code, err, summary["checked"]) == (1, "", 13)  # 2, and 5, 13, ..., 41 with two roots each
+    assert summary["failures"] == [
+        "the chain of (29, 12) does not telescope to 29",
+        "the chain of (29, 17) does not telescope to 29",
+    ]
 
 
 def test_primerep_refuses_a_strong_pseudoprime_to_bases_up_to_37(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from enumtree import sseq
 from enumtree.maps import (
     NodeBudgetExceeded,
     _peel,
+    check_tree_size,
     f_hat,
     f_hat_inverse,
     f_hat_via_action,
@@ -269,6 +271,42 @@ def test_tree_budget_enforced():
     # depth check happens before any row is produced
     ok = tree_rows(PHI0, 3, max_nodes=15)
     assert len(list(ok)) == 4
+
+
+def _refuses(depth, max_nodes):
+    try:
+        check_tree_size(depth, max_nodes)
+    except NodeBudgetExceeded:
+        return True
+    return False
+
+
+def test_tree_size_rule_is_the_node_count():
+    # decided by bit length, the rule refuses exactly when rows 0..depth exceed the budget
+    budgets = [*range(1, 4097), *((1 << k) + e for k in range(129) for e in (-1, 0, 1))]
+    for max_nodes in budgets:
+        for depth in range(131):
+            assert _refuses(depth, max_nodes) == ((1 << (depth + 1)) - 1 > max_nodes), (depth, max_nodes)
+
+
+def test_tree_size_refusal_writes_a_count_past_64_bits_as_a_power():
+    with pytest.raises(NodeBudgetExceeded, match=r"^depth 63 needs 18446744073709551615 nodes, budget is 7$"):
+        check_tree_size(63, 7)
+    with pytest.raises(NodeBudgetExceeded, match=r"^kmax 64 needs 2\^65 - 1 nodes, budget is 7$"):
+        check_tree_size(64, 7, "kmax")
+    with pytest.raises(ValueError, match=r"^bound must be >= 0, got -1$"):
+        check_tree_size(-1, 7, "bound")
+
+
+def test_tree_size_check_builds_no_integer_of_the_depths_size():
+    tracemalloc.start()
+    try:
+        with pytest.raises(NodeBudgetExceeded):
+            check_tree_size(3_000_000_000, 1 << 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # Monic quadratics other than the four trees; each has f(n) < 0 at some n >= 1,

@@ -73,6 +73,26 @@ def test_word_round_trip(w):
     assert matrix_to_word(word_to_matrix(w)) == w
 
 
+def _generator_product(word: str) -> Mat2:
+    out = IDENTITY
+    for letter in reversed(word):
+        out = mat_mul(GEN_S if letter == "S" else GEN_T, out)
+    return out
+
+
+def test_word_to_matrix_is_the_product_of_its_generators():
+    for k in range(1, 1 << 13):  # every word of up to 12 letters
+        w = index_to_word(k)
+        assert word_to_matrix(w) == _generator_product(w), w
+    rng = random.Random(2000)
+    for _ in range(5):
+        w = "".join(rng.choice("ST") for _ in range(2000))
+        assert word_to_matrix(w) == _generator_product(w)
+    for bad in ("SX", "s", "T T", "0"):
+        with pytest.raises(ValueError, match="word may only contain 'S' and 'T'"):
+            word_to_matrix(bad)
+
+
 def _strips_s(x: Mat2) -> bool:
     return x.c >= x.a and x.d >= x.b
 

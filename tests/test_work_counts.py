@@ -136,6 +136,23 @@ def test_verify_recursions_makes_no_digit_walk_below_the_block_depth(monkeypatch
         assert calls[0] == 0, bound
 
 
+def test_verify_recursions_holds_one_list_of_s(monkeypatch):
+    # per tree, the fill of its pair rows (slots to 2**(bound + 1) - 1) and one fill of s for
+    # the four branches, to slot 4 * 2**bound + 4 and the 3 past it; s_prefix makes no copy
+    fills, fill = [], sseq.SSeqKernel._fill
+
+    def recorded(self, stop, top=None):
+        vals = fill(self, stop, top)
+        fills.append(len(vals))
+        return vals
+
+    monkeypatch.setattr(sseq.SSeqKernel, "_fill", recorded)
+    monkeypatch.setattr(sseq.SSeqKernel, "s_prefix", None)
+    bound = 9
+    assert _SUITES["recursions"][0](bound)[1] == []
+    assert fills == [2 << bound, 4 * (1 << bound) + 8] * len(ENUMERABLE_POLYS)
+
+
 def test_verify_bijectivity_walks_once_per_divisor(monkeypatch):
     # one round trip from each inverted index back to its pair, tau(|f(n)|) per n
     bound = 40
