@@ -16,7 +16,7 @@ inverse-reduction chain of (p, n):
 
     p = |f(n_k)| / |f(n_{k-1})| * |f(n_{k-2})| / ...      n_1 < ... < n_k < p
 
-equal-valued adjacent factors are deliberately left uncancelled.
+equal-valued adjacent factors are left uncancelled; verify prime-reps checks the product.
 """
 
 from math import gcd
@@ -145,8 +145,8 @@ def prime_representation(f: EnumerablePoly, p: int, n: int) -> PrimeRepresentati
     """The alternating-product form of p attached to the pair (p, n).
 
     Requires p prime, 0 <= n < p and p | |f(n)|.  The n values are the
-    distinct nonzero second components of the reduction chain of (p, n); the
-    product is checked to telescope to p.
+    distinct nonzero second components of the reduction chain of (p, n).  The
+    product is not re-multiplied here; `verify prime-reps` checks it telescopes to p.
     """
     if not is_prime(p):
         raise BadPair(f"{p} is not prime")
@@ -154,10 +154,7 @@ def prime_representation(f: EnumerablePoly, p: int, n: int) -> PrimeRepresentati
         raise BadPair(f"need 0 <= n < p, got n = {n}, p = {p}")
     ns = sorted({q.n for q in f_hat_inverse(f, make_pair(p, n, f)).pairs} - {0})
     signs = tuple((-1) ** (len(ns) - 1 - i) for i in range(len(ns)))
-    rep = PrimeRepresentation(p=p, f=f, n_values=tuple(ns), exponents=signs)
-    if rep.product() != p:
-        raise ArithmeticError(f"the chain of ({p}, {n}) does not telescope to {p}")
-    return rep
+    return PrimeRepresentation(p=p, f=f, n_values=tuple(ns), exponents=signs)
 
 
 def roots_mod_p(f: EnumerablePoly, p: int) -> list[int]:

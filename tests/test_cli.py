@@ -26,6 +26,11 @@ from enumtree.sseq import kernel_for
 from oracles import trial_tau
 
 
+def suite_failures(suite, bound):
+    """The failure lines a verify suite yields, without the counts it yields beside them."""
+    return [item for item in _SUITES[suite][0](bound) if isinstance(item, str)]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -458,8 +463,22 @@ def test_primerep(capsys):
     assert code == 3
 
 
+def test_primerep_does_not_re_multiply_its_representation(capsys, monkeypatch):
+    # the telescoping product is the theorem; verify prime-reps checks it, primerep does not
+    def refused(rep):
+        raise AssertionError("primerep multiplied its representation out")
+
+    monkeypatch.setattr(analytics.PrimeRepresentation, "product", refused)
+    assert run(capsys, "primerep", "phi0", "113", "98") == (0, (
+        "p: 113\n"
+        "n-values: 1 13 98\n"
+        "form: p = |f(1)|^+1 * |f(13)|^-1 * |f(98)|^+1\n"
+        "value: 113 = 2 * 9605 / (170)\n"
+    ), "")
+
+
 def test_verify_prime_reps_reports_a_representation_that_does_not_telescope(capsys, monkeypatch):
-    # prime_representation refuses it, and the suite records the refusal as its failure line
+    # the suite multiplies each representation out and records a failure line where it is off
     product = analytics.PrimeRepresentation.product
 
     def off_at_29(rep):
@@ -543,7 +562,7 @@ def test_bijectivity_suite_evaluates_f_once_per_n_besides_the_pair_checks(monkey
     seen = []
     evaluate = Poly.__call__
     monkeypatch.setattr(Poly, "__call__", lambda g, n: seen.append(n) or evaluate(g, n))
-    assert _SUITES["bijectivity"][0](bound)[1] == []
+    assert suite_failures("bijectivity", bound) == []
     assert Counter(seen) == expected
 
 
@@ -571,7 +590,7 @@ def test_verify_recursions_reads_the_kernels_deep_blocks(capsys, monkeypatch):
         return vals if top is None else [v + 1 for v in vals]
 
     monkeypatch.setattr(sseq.SSeqKernel, "_fill", corrupt)
-    failures = _SUITES["recursions"][0](8)[1]
+    failures = suite_failures("recursions", 8)
     assert len(failures) == len(ENUMERABLE_POLYS) * 4  # rows 5..8 of each tree
     assert failures[0] == "phi0: row 5 of the kernel's pairs disagrees with the tree"
 
@@ -1174,6 +1193,21 @@ def test_only_main_maps_failures_to_exit_codes():
     ]
     assert len(commands) == 8
     assert [c.name for c in commands if any(isinstance(n, ast.Try) for n in ast.walk(c))] == []
+
+
+def test_verify_suites_yield_to_the_one_tally_of_cmd_verify():
+    # each suite yields its counts and failure lines; only _cmd_verify sums and collects them
+    tree = ast.parse((Path(enumtree.__file__).parent / "cli.py").read_text())
+    suites = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")
+    ]
+    assert sorted(s.name for s in suites) == sorted(f"_suite_{n.replace('-', '_')}" for n in _SUITES)
+    for suite in suites:
+        nodes = list(ast.walk(suite))
+        assert any(isinstance(n, ast.Yield) for n in nodes), suite.name
+        assert not any(isinstance(n, ast.Try) for n in nodes), suite.name
+        assert not any(isinstance(n, ast.Return) and n.value is not None for n in nodes), suite.name
 
 
 def test_library_has_no_assert_statements():

@@ -158,3 +158,18 @@ def test_cli_import_skips_unused_standard_modules():
         capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_primerep_run_skips_the_rational_modules():
+    # the representation is returned as proved, not multiplied out as a Fraction
+    unused = ("fractions", "decimal", "numbers")
+    code = (
+        "import sys; from enumtree.cli import main; code = main(['primerep', 'phi0', '113', '98']);"
+        f" print(code, [m for m in {unused!r} if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(Path(enumtree.__file__).parents[1])),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (0, "0 []", "")
