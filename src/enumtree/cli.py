@@ -1,7 +1,5 @@
 """Command-line front end.
 
-Subcommands:
-
     tree      emit a divisor-pair tree breadth first (JSON lines or text)
     seq       emit a second-component sequence (OEIS b-file or JSON lines)
     inverse   invert a pair: generator word, matrix, index, reduction chain
@@ -11,32 +9,19 @@ Subcommands:
     stats     row sums / ratio sums of a tree
     primerep  alternating prime-product representation of p at a root n
 
-Exit codes: 0 success, 1 verification failure, 2 budget exceeded or usage
-error, 3 bad pair (BadPair), 4 polynomial vanishes on the scanned range, 5
-arithmetic give-up (factorization limit, unreducible pair, number too large,
-a result too large to allocate), 70 internal error (any other exception,
-reported on one stderr line `internal error: <Type>: <message>`), 141 (128 +
-SIGPIPE) stdout closed by the reader, e.g. by `| head`.  Commands raise; main
-alone maps a failure to its code, by the table _EXIT_BY_FAILURE.
-
-All output is deterministic; integers above 2^53 - 1 are serialized as
-decimal strings in JSON so double-parsing consumers keep exact values.
-tree, seq, inverse and fiber write about 16 KB at a time, each write sized from its first
-part, one part read ahead (_write_joined): a 4,000-letter inverse peaks at 2 MB traced.
-tree --format text, seq, stats and verify rowsums stream rows of s in bounded blocks
-(SSeqKernel._rows), as pairs (s(2k) - s(k), s(k)) but in b-files, seq's last row cut
-at --count, and verify recursions checks those pair rows against the moves: tree phi0
---depth 18 --format text peaks at 1.8 MB traced, seq phi0 --count 262144 at 1.8 / 1.9
-MB (b-file / json), stats phi0 --kmax 20 and verify rowsums --bound 20 at 85 MB RSS (a
-dict of row 20's distinct m).  Only tree --format json walks the DivisorPair moves of
-maps.tree_rows; JSON trees and sequences share _json_lines, whose words past row 10
-come from a table of 2^10 tails and one word per block of 2^10 lines.
-The node budget defaults to 2^21 and can be set with --max-nodes or the
-ENUMTREE_MAX_NODES environment variable (the flag wins).  Each depth is checked once, in
-O(1), by maps.check_tree_size, which int_tree_rows calls for verify recursions and kernel
-seed rows: every negative or oversized depth exits 2 with empty stdout before any work.
-Each verify suite is a generator: it yields a count per batch of checks made and a line per
-failure, and _cmd_verify alone tallies them into its one JSON summary line.
+Exit codes: 0 success, 1 verification failure, 2 budget exceeded or usage error, 3 bad
+pair (BadPair), 4 polynomial vanishes on the scanned range, 5 arithmetic give-up
+(factorization limit, unreducible pair, number too large, a result too large to allocate),
+70 internal error (any other exception, one stderr line `internal error: <Type>:
+<message>`), 141 (128 + SIGPIPE) stdout closed by the reader.  Commands raise; main alone
+maps a failure to its code (_EXIT_BY_FAILURE).  JSON integers above 2^53 - 1 are decimal
+strings.  Output goes out about 16 KB per write, sized from the write's first part, one
+part read ahead (_write_joined).  tree --format text, seq, stats and verify rowsums stream
+SSeqKernel._rows in bounded blocks, which verify recursions checks against the moves; only
+tree --format json walks maps.tree_rows.  The node budget is 2^21 unless --max-nodes, or
+else ENUMTREE_MAX_NODES, sets it; maps.check_tree_size checks each depth once, before any
+work, so a negative or oversized depth exits 2 with empty stdout.  Each verify suite
+yields a count per batch of checks and a line per failure; _cmd_verify alone tallies them.
 """
 
 import argparse
@@ -163,8 +148,7 @@ def _cmd_tree(args) -> int:
             cells = (f"({m}, {n})" for m, n in row)  # the indent rides on the first
             _write_joined(chain(["  " * row_idx + next(cells)], cells), "  ")
     else:
-        # Words are recovered from the heap index: cheap and avoids
-        # threading them through generation.
+        # the moves give the pairs; _json_lines gives their words, from its table
         _write_joined(chain.from_iterable(
             _json_lines(row_idx, ((p.m, p.n) for p in row))
             for row_idx, row in enumerate(tree_rows(f, args.depth, budget))

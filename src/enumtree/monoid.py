@@ -60,19 +60,9 @@ _DIGIT_LETTERS = str.maketrans("01", "ST")
 _LETTER_DIGITS = str.maketrans("ST", "01")
 
 
-# A product of elements is an element, so it is built without the checks of
-# Mat2.__init__: slots are filled directly.
-_new = object.__new__
-_set_a, _set_b, _set_c, _set_d = (Mat2.__dict__[k].__set__ for k in Mat2.__slots__)
-
-
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
-    z = _new(Mat2)
-    _set_a(z, x.a * y.a + x.b * y.c)
-    _set_b(z, x.a * y.b + x.b * y.d)
-    _set_c(z, x.c * y.a + x.d * y.c)
-    _set_d(z, x.c * y.b + x.d * y.d)
-    return z
+    return Mat2(x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
+                x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
 
 
 def complement(x: Mat2) -> Mat2:

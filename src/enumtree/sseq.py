@@ -37,8 +37,8 @@ is reduced, to index k of L = bit_length(k) - 1 letters.  Its reduction
 checks m <= n < q, so (q, n) reduces by exponent 0, steps by c_bar to (m, n)
 and repeats the same steps: its word is k's with S and T swapped, so its
 index is k's mirror index (3 << L) - 1 - k: odd, where words led by S have
-even indices.  At n = 0 the root (1, 0) is no min side, so every divisor is
-reduced there.
+even indices.  Only the root (1, 0) has n = 0, since a child adds m >= 1
+(s_bar) or the cofactor |f(n)| / m >= 1 (t_bar) to n: the fiber of 0 is {1}.
 """
 
 from itertools import chain, islice, pairwise, repeat
@@ -164,11 +164,12 @@ class SSeqKernel(Record):
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
+        if n == 0:
+            return {1}  # the root (1, 0) alone (module docstring)
         f, value = self.poly, self.poly.poly(n)
         divs = divisors(abs(value))
         out = set()
-        # the min sides, m * m <= |f(n)|; at n = 0 all, of which only (1, 0) is reachable
-        for m in divs if n == 0 else divs[: (len(divs) + 1) // 2]:
+        for m in divs[: (len(divs) + 1) // 2]:  # the min sides, m * m <= |f(n)|
             k = _index_from_exponents(_peel(f, m, n, value // m)[0])
             out |= {k, mirror_index(k)}
         return out

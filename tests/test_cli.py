@@ -577,6 +577,20 @@ def test_verify_bijectivity_catches_a_mirrored_index_map(capsys, monkeypatch):
     assert failures[0] == "phi0: index 3 of (1, 1) holds (2, 1)"
 
 
+def test_verify_exits_5_with_no_summary_when_a_library_call_refuses(capsys, monkeypatch):
+    # A refusal is the library giving up (exit 5, as in every command), not a failed
+    # check (exit 1); the suite stops there, before its summary line.
+    inner = maps._violation
+    monkeypatch.setattr(
+        maps, "_violation", lambda f, m, n, cof: inner(f, m, n, n + 1 if (m, n) == (5, 2) else cof)
+    )
+    message = (
+        "error: pair (5, 2) of f = x^2+1 violates the reachability bound (min side);"
+        " it cannot be reduced to the root\n"
+    )
+    assert run(capsys, "verify", "bijectivity", "--bound", "10") == (5, "", message)
+
+
 def test_verify_recursions_reads_the_kernels_deep_blocks(capsys, monkeypatch):
     # at block depth 4 the pair rows past row 4 are filled from the tops _triple(j)
     default = run(capsys, "verify", "recursions")
@@ -1002,7 +1016,8 @@ def test_deep_text_tree_matches_golden_hash(monkeypatch, name, digest):
 # from the CLI that built whole rows (tree: the DivisorPair moves, 46.6 MB traced
 # peak) or filled the whole prefix (seq: 13.0 MB traced as a b-file, 25.7 MB as
 # json).  Tree rows 15..18 and seq rows 15..17 and the first term of row 18 are
-# deeper than one block.
+# deeper than one block.  The JSON trees of phi0 and psi2 (kernels that start at
+# rows 0 and 1) were recorded from the CLI that walked the DivisorPair moves for them.
 @pytest.mark.parametrize("argv, size, digest", [
     ("tree phi0 --depth 18 --format text", 9_481_181,
      "ff57569475eafe4bd364bb02f8920eeccb953c2d3b01e8744993bfa37ae10c56"),
@@ -1010,7 +1025,11 @@ def test_deep_text_tree_matches_golden_hash(monkeypatch, name, digest):
      "e1793cd8c2678a6740afecebbb026a84aa7f6553df32b961b2dcd4499c0ab3a0"),
     ("seq phi0 --count 262144 --format json", 19_125_495,
      "516435fc295741debb6fe07a9505b34b573974f249afd49b81caf2b62199517c"),
-], ids=["tree", "seq-bfile", "seq-json"])
+    ("tree phi0 --depth 17 --format json", 19_125_428,
+     "bb4dc05ede36511039b47430cdbaf2f5184502188a39a0339189ec5c98b38200"),
+    ("tree psi2 --depth 17 --format json", 19_191_556,
+     "8526c1af4add299c1857fb29f98aa0f04d52d6e69175ac85ce937158f1f34169"),
+], ids=["tree", "seq-bfile", "seq-json", "json-tree-phi0", "json-tree-psi2"])
 def test_streamed_output_matches_its_size_and_digest(monkeypatch, argv, size, digest):
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)

@@ -1,5 +1,7 @@
-"""README's CLI block runs, and its library example states true values."""
+"""README's CLI block runs, its library example states true values, and neither README
+nor a module docstring carries a measurement."""
 
+import ast
 import contextlib
 import io
 import re
@@ -8,7 +10,10 @@ from pathlib import Path
 
 from enumtree.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+# A wall time or a memory figure: "85 MB", "2.2-2.3 s", "107 ms"; not s(2k) or 2^53 - 1.
+_FIGURE = re.compile(r"\b\d[\d.,]*(?:-\d[\d.,]*)?\s?(?:ms|s|MB|GB)\b(?!\()")
 
 
 def _block(heading: str, lang: str) -> str:
@@ -52,3 +57,13 @@ def test_the_readme_library_example_states_true_values():
     for got, expected, text in stated:
         assert got == expected, text
         assert text in code, text
+
+
+def test_no_wall_time_or_memory_figure_in_readme_or_a_module_docstring():
+    # The docs say what the program does; CHANGES.md keeps each measurement with the
+    # change that made it, so a figure is not written twice and does not go stale.
+    docs = {"README.md": README}
+    for path in sorted((ROOT / "src" / "enumtree").glob("*.py")):
+        docs[path.name] = ast.get_docstring(ast.parse(path.read_text())) or ""
+    figures = {name: _FIGURE.findall(text) for name, text in docs.items()}
+    assert {name: found for name, found in figures.items() if found} == {}

@@ -345,18 +345,27 @@ def test_fiber_matches_full_inverse_traces(f):
         assert kern.fiber(n) == expected, (f.name, n)
 
 
-@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+_OTHER_QUADRATICS = [(2, 0), (-2, 0), (1, 5), (3, 4), (5, 1)]  # (c0, c1) of x^2 + c1 x + c0
+
+
+# Only the root (1, 0) has n = 0, whatever |f(0)| is: (2, 0) of x^2 + 2 is no tree pair.
+@pytest.mark.parametrize("f", [
+    *ENUMERABLE_POLYS,
+    *(EnumerablePoly(str(g), g)
+      for g in (poly(c0, c1, 1) for c0, c1 in [*_OTHER_QUADRATICS, (3, 0), (6, 0)])),
+], ids=lambda f: f.name)
 def test_fiber_of_zero_is_the_root(f):
     assert kernel_for(f).fiber(0) == {1}
 
 
-@pytest.mark.parametrize("c0, c1", [(2, 0), (-2, 0), (1, 5), (3, 4), (5, 1)])
+@pytest.mark.parametrize("c0, c1", _OTHER_QUADRATICS)
 def test_fiber_of_other_quadratics_matches_full_inverses_or_their_refusal(c0, c1):
-    # These trees miss some pairs, e.g. (2, 0) of x^2 + 2; the fiber must refuse
-    # exactly where inverting every divisor in ascending order first refuses.
+    # These trees miss some pairs, e.g. (2, 0) of x^2 + 2; from n = 1 on the fiber
+    # must refuse exactly where inverting every divisor in ascending order first
+    # refuses (n = 0: test_fiber_of_zero_is_the_root).
     f = EnumerablePoly("f", poly(c0, c1, 1))
     kern = kernel_for(f)
-    for n in range(120):
+    for n in range(1, 120):
         try:
             expected = {
                 f_hat_inverse(f, make_pair(m, n, f)).index for m in divisors(abs(f.poly(n)))
