@@ -7,8 +7,10 @@ Row sums for the x^2 + 1 tree satisfy second-order linear recursions:
     R_k = R_{k-1} + 3 * 2^(k-2)     R_0 = 0            (ratio sums n/m)
 
 with the exact closed form R_k = (3/2)(2^k - 1), so the row average R_k / 2^k
-tends to 3/2.  Ratio sums are kept as exact rationals throughout; the other
-trees get direct summation only, since no recursions are on record for them.
+tends to 3/2.  On all four trees, beta the linear coefficient of f, M and N follow
+M_k = 3 M_{k-1} + 2 N_{k-1} + beta * 2^(k-1) and N_k = 2 M_{k-1} + 2 N_{k-1} for
+k >= 2; only the ratio sums of beta != 0 have no step on record, so row_stats sums
+rows directly.  Ratio sums are kept as exact rationals throughout.
 
 Every prime p dividing some |f(n)| (f one of the four quadratics) is an
 alternating product of polynomial values at the second components of the

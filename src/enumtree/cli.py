@@ -19,9 +19,10 @@ strings.  Output goes out about 16 KB per write, sized from the write's first pa
 part read ahead (_write_joined).  tree --format text, seq, stats and verify rowsums stream
 SSeqKernel._rows in bounded blocks, which verify recursions checks against the moves; only
 tree --format json walks maps.tree_rows.  The node budget is 2^21 unless --max-nodes, or
-else ENUMTREE_MAX_NODES, sets it; maps.check_tree_size checks each depth once, before any
-work, so a negative or oversized depth exits 2 with empty stdout.  Each verify suite
-yields a count per batch of checks and a line per failure; _cmd_verify alone tallies them.
+else ENUMTREE_MAX_NODES, sets it for tree or stats; maps.check_tree_size checks each depth
+once, before any work, so a negative or oversized depth exits 2 with empty stdout.  Each
+verify suite yields a count per batch of checks and a line per failure; _cmd_verify alone
+tallies them.
 """
 
 import argparse
@@ -78,24 +79,25 @@ def _json_int(v: int) -> str:
     return str(v) if -_SAFE_INT <= v <= _SAFE_INT else f'"{v}"'
 
 
-def _json_lines(row: int, pairs):
-    """JSON lines of the nodes 2**row, 2**row + 1, ... of one tree row from their (m, n)
-    pairs (nonnegative), until the pairs run out.  With c = min(row, _WORD_TABLE_DEPTH),
-    node j * 2**c + i has the word word(2**c + i) + word(j): the row makes its 2**c tail
-    words once (one per node while row <= c), and each block of 2**c lines one string that
-    ends them.  A row's indices are all past 2^53 - 1 or none; m and n are checked per line."""
-    c, pairs = min(row, _WORD_TABLE_DEPTH), iter(pairs)
-    tails = map(index_to_word, range(1 << c, 2 << c))
-    if row > c:
-        tails = [*tails]
-    big = 1 << row > _SAFE_INT  # every index of the row is at least 2**row
-    for j, first in zip(range(1 << (row - c), 2 << (row - c)), pairs):  # blocks reached
-        end = f'{index_to_word(j) if row > c else ""}","row":{row}}}'
-        block = chain((first,), islice(pairs, (1 << c) - 1))
-        for index, (m, n), tail in zip(count(j << c), block, tails):
-            if big or m > _SAFE_INT or n > _SAFE_INT:
-                index, m, n = _json_int(index), _json_int(m), _json_int(n)
-            yield f'{{"index":{index},"m":{m},"n":{n},"word":"{tail}{end}'
+def _json_lines(rows):
+    """JSON lines of a tree's nodes from its rows of (m, n) pairs (nonnegative): row r holds
+    the nodes 2**r, 2**r + 1, ... until its pairs run out.  With c = min(r, _WORD_TABLE_DEPTH),
+    node j * 2**c + i has the word word(2**c + i) + word(j).  Rows 0 .. _WORD_TABLE_DEPTH - 1
+    make a word per line read; row _WORD_TABLE_DEPTH makes its 2**c words at once, the table
+    that every deeper row shares, where each block of 2**c lines makes one string that ends
+    them.  A row's indices are all past 2^53 - 1 or none; m and n are checked per line."""
+    for r, pairs in enumerate(rows):
+        c, pairs = min(r, _WORD_TABLE_DEPTH), iter(pairs)
+        tails = map(index_to_word, range(1 << r, 2 << r)) if r == c else tails  # deeper: the table
+        tails = [*tails] if r == _WORD_TABLE_DEPTH else tails  # made at once and kept
+        big = 1 << r > _SAFE_INT  # every index of the row is at least 2**r
+        for j, first in zip(range(1 << (r - c), 2 << (r - c)), pairs):  # blocks reached
+            end = f'{index_to_word(j) if r > c else ""}","row":{r}}}'
+            block = chain((first,), islice(pairs, (1 << c) - 1))
+            for index, (m, n), tail in zip(count(j << c), block, tails):
+                if big or m > _SAFE_INT or n > _SAFE_INT:
+                    index, m, n = _json_int(index), _json_int(m), _json_int(n)
+                yield f'{{"index":{index},"m":{m},"n":{n},"word":"{tail}{end}'
 
 
 def _write_joined(parts, sep: str = "\n") -> None:
@@ -141,18 +143,14 @@ def _resolve_budget(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    f, budget = POLY_BY_NAME[args.poly], _resolve_budget(args)
+    f, depth, budget = POLY_BY_NAME[args.poly], args.depth, _resolve_budget(args)
     if args.format == "text":
-        check_tree_size(args.depth, budget)
-        for row_idx, row in enumerate(kernel_for(f)._rows(args.depth, True)):
+        check_tree_size(depth, budget)
+        for row_idx, row in enumerate(kernel_for(f)._rows(depth, True)):
             cells = (f"({m}, {n})" for m, n in row)  # the indent rides on the first
             _write_joined(chain(["  " * row_idx + next(cells)], cells), "  ")
-    else:
-        # the moves give the pairs; _json_lines gives their words, from its table
-        _write_joined(chain.from_iterable(
-            _json_lines(row_idx, ((p.m, p.n) for p in row))
-            for row_idx, row in enumerate(tree_rows(f, args.depth, budget))
-        ))
+    else:  # the moves give the pairs; _json_lines gives their words, from its table
+        _write_joined(_json_lines(((p.m, p.n) for p in row) for row in tree_rows(f, depth, budget)))
     return EXIT_OK
 
 
@@ -161,12 +159,11 @@ def _cmd_seq(args) -> int:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rows = kernel_for(f)._rows(count.bit_length() - 1, args.format == "json")
-    rows = enumerate(islice(row, count + 1 - (1 << r)) for r, row in enumerate(rows))
     if args.format == "bfile":
-        lines = ((f"{k} {v}" for k, v in enumerate(row, 1 << r)) for r, row in rows)
+        lines = (f"{k} {v}" for k, v in enumerate(chain.from_iterable(rows), 1))
     else:
-        lines = (_json_lines(r, pairs) for r, pairs in rows)
-    _write_joined(chain.from_iterable(lines))
+        lines = _json_lines(rows)
+    _write_joined(islice(lines, count))
     return EXIT_OK
 
 

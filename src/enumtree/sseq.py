@@ -126,7 +126,7 @@ class SSeqKernel(Record):
         a pair row takes its m from s rows r - 1 and r: net_expand's first and third branches
         less s(2k) give m(2j) = s(2j) - s(j) and m(2j + 1) = s(2j) + s(2j + 1) + beta for
         j >= start; rows 0..d read s(2k) off the seeds.  With c = _BLOCK_DEPTH, rows to depth
-        max(c, d) come from one s_prefix; a deeper row r is the level r - t below each node j
+        max(c, d) come from one _fill; a deeper row r is the level r - t below each node j
         of row t = max(r - c, d), filled again from _triple(j), so j >= start; while d <= c,
         about 2**(c + 1) values are live at any depth.  depth is not checked."""
         c, d, beta = _BLOCK_DEPTH, self.start.bit_length() - 1, self.poly.beta
@@ -141,16 +141,18 @@ class SSeqKernel(Record):
             ms = zip(map(sub, ev, vals[lo // 2 : lo]), map(add, map(add, ev, od), repeat(beta)))
             return zip(chain.from_iterable(ms), ns)
 
+        def deep(r):  # row r past the head: t and lo are its own, so a held row reads alike
+            t = max(r - c, d)
+            lo = 1 << (r - t)
+            return chain.from_iterable(
+                level(self._fill(2 * lo - 1, self._triple(j)), lo, r) for j in range(1 << t, 2 << t)
+            )
+
         head = min(depth, max(c, d))
         vals = self._fill((2 << head) - 1)  # slot k holds s(k)
         yield from (level(vals, 1 << r, r) for r in range(head + 1))
         del vals  # not kept while the deeper rows are filled
-        for r in range(head + 1, depth + 1):
-            t = max(r - c, d)
-            lo = 1 << (r - t)
-            yield chain.from_iterable(
-                level(self._fill(2 * lo - 1, self._triple(j)), lo, r) for j in range(1 << t, 2 << t)
-            )
+        yield from map(deep, range(head + 1, depth + 1))
 
     def pair_at(self, k: int) -> DivisorPair:
         """The k-th breadth-first tree pair, (s(2k) - s(k), s(k))."""

@@ -92,6 +92,12 @@ def test_recursive_matches_direct():
 
 
 def test_characteristic_recursion_on_direct_sums():
+    for f in ENUMERABLE_POLYS:  # the step of the module docstring, on every tree
+        stats = [row_stats_direct(f, k) for k in range(15)]
+        for k in range(2, 15):
+            m, n = stats[k - 1].m_sum, stats[k - 1].n_sum
+            assert stats[k].m_sum == 3 * m + 2 * n + f.beta * 2 ** (k - 1), (f.name, k)
+            assert stats[k].n_sum == 2 * m + 2 * n, (f.name, k)
     stats = [row_stats_direct(PHI0, k) for k in range(15)]
     assert stats[0].m_sum == 1 and stats[1].m_sum == 3
     assert stats[0].n_sum == 0 and stats[1].n_sum == 2

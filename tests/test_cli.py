@@ -111,6 +111,19 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 2**13 - 1
 
 
+def test_the_budget_override_reaches_tree_and_stats_only(capsys, monkeypatch):
+    # verify suites and kernel seed rows keep the default 2^21 nodes, either way
+    monkeypatch.setenv("ENUMTREE_MAX_NODES", "100")
+    for argv in (["tree", "phi0", "--depth", "8"], ["stats", "phi0", "--kmax", "8"]):
+        assert run(capsys, *argv)[0] == 2
+    code, out, _ = run(capsys, "verify", "recursions", "--bound", "8")  # 511 nodes a tree
+    assert code == 0 and json.loads(out)["failures"] == []
+    monkeypatch.setenv("ENUMTREE_MAX_NODES", str(10**8))
+    assert run(capsys, "verify", "rowsums", "--bound", "21") == (
+        2, "", "error: bound 21 needs 4194303 nodes, budget is 2097152\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("argv", [["tree", "phi0", "--depth", "2"], ["stats", "phi0", "--kmax", "5"]])
 def test_nonpositive_max_nodes_is_usage_error(capsys, argv, value):
@@ -627,11 +640,11 @@ def test_large_integers_serialized_as_strings(capsys):
 
     from enumtree.cli import _json_lines
 
-    (line,) = _json_lines(60, [(2**54, 3)])
+    (line,) = _json_lines([[]] * 60 + [[(2**54, 3)]])
     rec = json.loads(line)
     assert rec == {"index": str(2**60), "m": str(2**54), "n": 3, "word": "S" * 60, "row": 60}
     # the inline test switches at 2^53 for each value, line by line within a block
-    lines = list(_json_lines(1, [(2**53 - 1, 2**53), (2**53, 2**53 - 1)]))
+    lines = list(_json_lines([[], [(2**53 - 1, 2**53), (2**53, 2**53 - 1)]]))
     assert [json.loads(line) for line in lines] == [
         {"index": 2, "m": 2**53 - 1, "n": str(2**53), "word": "S", "row": 1},
         {"index": 3, "m": str(2**53), "n": 2**53 - 1, "word": "T", "row": 1},
@@ -656,7 +669,7 @@ def test_json_lines_match_the_per_node_oracle(row, count):
     # of 2**10 lines; the pairs run out mid-row, at a block edge, or with the row
     rng = random.Random(row * count)
     pairs = [(rng.choice([1, 2**53 - 1, 2**53, 7**30]), rng.randrange(2**54)) for _ in range(count)]
-    lines = list(cli._json_lines(row, pairs))
+    lines = list(cli._json_lines([[]] * row + [pairs]))  # rows 0 .. row - 1 empty
     assert lines == [_json_line_oracle(k, m, n) for k, (m, n) in enumerate(pairs, 1 << row)]
 
 
@@ -664,7 +677,7 @@ def test_json_lines_match_the_per_node_oracle(row, count):
 def test_json_lines_stop_at_the_end_of_the_row(row):
     # pairs past the row's 2**row nodes make no line
     pairs = iter([(1, 0)] * ((1 << row) + 5))
-    assert len(list(cli._json_lines(row, pairs))) == 1 << row
+    assert len(list(cli._json_lines([[]] * row + [pairs]))) == 1 << row
 
 
 def test_results_unchanged_under_python_O():

@@ -495,6 +495,18 @@ def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, pairs, dep
         assert k == count + 1
 
 
+@pytest.mark.parametrize("pairs", [False, True])
+def test_held_rows_read_as_rows_read_in_turn(monkeypatch, pairs):
+    # x^2 - 2 has d = 2 (start 4): past the head, at block depth 3, rows 4 and 5 both
+    # start from row 2 but hold levels of 4 and 8 values, so a row held while the
+    # generator moves on must keep its own level
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", 3)
+    kern = kernel_for(EnumerablePoly("x^2 - 2", poly(-2, 0, 1)))
+    held = [list(row) for row in list(kern._rows(8, pairs))]
+    assert held == [list(row) for row in kern._rows(8, pairs)]
+    assert [len(row) for row in held] == [1 << r for r in range(9)]
+
+
 # Monic quadratics other than the four trees, with d, the first n where
 # 0 < f(n) < f(n + 1).  The seeds (0, 0, 1, 1), or psi2's for constant -1, would
 # part from these trees at s(5), s(3), s(5), s(3) and s(5).

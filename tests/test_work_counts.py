@@ -76,17 +76,46 @@ def test_streamed_rows_expand_a_pinned_number_of_nodes(monkeypatch, name, pairs)
     assert counts[1] <= 2 * counts[0] + (1 << (12 - block)) + fill
 
 
-# index_to_word calls of _json_lines(row, pairs) for the first `pairs` nodes of a row: one
-# per line to row 10, the word table's depth; past it the 2**10 tail words and one word per
-# block of 2**10 lines reached, so a full row makes 2**10 + 2**(row - 10) in place of 2**row
+# index_to_word calls of _json_lines for rows 0 .. row - 1 empty and the first `pairs` nodes
+# of row `row`: one per line above row 10, the word table's depth; row 10 makes its 2**10
+# words at once, empty or cut; past it the table is row 10's and a block of 2**10 lines
+# reached makes one word, so a full row makes 2**(row - 10) in place of 2**row
 @pytest.mark.parametrize("row, pairs, words", [
-    (0, 1, 1), (3, 8, 8), (10, 1024, 1024), (10, 3, 3),
+    (0, 1, 1), (3, 8, 8), (10, 1024, 1024), (10, 3, 1024),
     (11, 2048, 1026), (13, 8192, 1032), (12, 1024, 1025), (12, 1025, 1026), (60, 1, 1025),
 ])
 def test_json_lines_make_a_word_per_block_past_the_table_depth(monkeypatch, row, pairs, words):
     calls = _counting(monkeypatch, cli, "index_to_word")
-    assert sum(1 for _ in cli._json_lines(row, [(1, 0)] * pairs)) == pairs
+    assert sum(1 for _ in cli._json_lines([[]] * row + [[(1, 0)] * pairs])) == pairs
     assert calls[0] == words
+
+
+# index_to_word calls of one command: a word per line of rows 0 .. min(R, 10), row 10's
+# being the table, and one per block of 2**10 lines reached in each deeper row.  A tree to
+# depth 14 makes 2047 + 2 + 4 + 8 + 16; a seq to count 3000 ends in row 11's first block,
+# 2047 + 1, and one to 2**14 - 1 in row 13, 2047 + 2 + 4 + 8.
+@pytest.mark.parametrize("argv, lines, words", [
+    ("tree phi0 --depth 2", 7, 7),
+    ("tree phi0 --depth 14", 2**15 - 1, 2077),
+    ("seq phi0 --count 3000 --format json", 3000, 2048),
+    ("seq psi2 --count 16383 --format json", 16383, 2061),
+])
+def test_a_command_makes_one_word_table(monkeypatch, capsys, argv, lines, words):
+    calls = _counting(monkeypatch, cli, "index_to_word")
+    assert cli.main(argv.split()) == 0
+    assert len(capsys.readouterr().out.splitlines()) == lines
+    assert calls[0] == words
+
+
+@pytest.mark.parametrize("row, pair, converted", [
+    (52, (2**53 - 1, 2**53 - 1), 0), (53, (1, 0), 3), (1, (2**53, 0), 3), (1, (0, 2**53), 3),
+])
+def test_json_lines_convert_only_lines_with_a_value_past_2_53(monkeypatch, row, pair, converted):
+    # index, m and n of a line go through _json_int together, and only when one of them
+    # is past 2^53 - 1: every index from row 53 on, or an m or n above the bound
+    calls = _counting(monkeypatch, cli, "_json_int")
+    (line,) = cli._json_lines([[]] * row + [[pair]])
+    assert calls[0] == converted
 
 
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
