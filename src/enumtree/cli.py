@@ -252,8 +252,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_primerep(args) -> int:
     rep = analytics.prime_representation(POLY_BY_NAME[args.poly], args.p, args.n)
-    num = [v for v, e in rep.factors() if e > 0]
-    den = [v for v, e in rep.factors() if e < 0]
+    num, den = [], []
+    for v, e in rep.factors():  # e is +1 or -1
+        (num if e > 0 else den).append(v)
     print(f"p: {rep.p}")
     print("n-values: " + " ".join(str(n) for n in rep.n_values))
     expr = " * ".join(f"|f({n})|^{e:+d}" for n, e in zip(rep.n_values, rep.exponents))

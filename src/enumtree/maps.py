@@ -15,8 +15,8 @@ The inverse direction peels a pair back to (1, 0): repeat
 
     (m, n)  ->  c_bar( s_bar^(-floor(n/m)) (m, n) )
 
-recording the exponents.  Undoing those steps and merging complement pairs
-into t_bar moves yields the generator word, hence the matrix and tree index.
+recording the exponents.  Undone, with c_bar s_bar c_bar merged into t_bar, they
+give the tree index, one shift per block; the index gives the word, hence the matrix.
 The loop additionally checks, at every visited pair, the reachability
 inequality min(m, |f(n)|/m) <= n < max(m, |f(n)|/m), written once in
 classify (_violation); on a violation it aborts with a diagnostic instead of
@@ -27,7 +27,7 @@ from typing import Iterator
 
 from ._record import Record
 from .classify import LEFT, _violation
-from .monoid import Mat2, matrix_to_word, word_to_index
+from .monoid import Mat2, index_to_word, matrix_to_word
 from .pairs import (
     ENUMERABLE_POLYS,
     BadPair,
@@ -154,14 +154,9 @@ def _peel(f: EnumerablePoly, m: int, n: int, q: int) -> tuple[list[int], list[tu
     return exponents, chain
 
 
-def _word_from_exponents(exponents: list[int]) -> str:
-    # Blocks alternate S, T, S, ... reading the reduction exponents in order.
-    return "".join(("S" if i % 2 == 0 else "T") * a for i, a in enumerate(exponents))
-
-
 def _index_from_exponents(exponents: list[int]) -> int:
-    # word_to_index of the word above, kept for sseq.fiber, which builds no word:
-    # one shift per block, each O(bits of k), costs less than building the word.
+    # Heap index of the word S^e0 T^e1 S^e2 ...: blocks read last first, one shift each
+    # (O(bits of k); cheaper than a string of the word up to about 1,000 blocks).
     k = 1
     for i in range(len(exponents) - 1, -1, -1):
         a = exponents[i]
@@ -178,13 +173,13 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
     if p.poly != f.poly:
         raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
     exponents, chain = _peel(f, p.m, p.n, f.poly(p.n) // p.m)
-    word = _word_from_exponents(exponents)
+    index = _index_from_exponents(exponents)
     # The chain pairs are p moved by s_bar_inv and c_bar: no check needed.
     return InverseTrace(
         exponents=tuple(exponents),
         pairs=tuple(_moved(m, n, f.poly) for m, n in chain),
-        word=word,
-        index=word_to_index(word),
+        word=index_to_word(index),
+        index=index,
     )
 
 

@@ -582,8 +582,8 @@ def test_bijectivity_suite_evaluates_f_once_per_n_besides_the_pair_checks(monkey
 def test_verify_bijectivity_catches_a_mirrored_index_map(capsys, monkeypatch):
     # mirror_index is injective, so each fiber keeps tau(|f(n)|) distinct indices;
     # only the round trip from the index back to its pair sees the wrong node
-    inner = maps.word_to_index
-    monkeypatch.setattr(maps, "word_to_index", lambda word: mirror_index(inner(word)))
+    inner = maps._index_from_exponents
+    monkeypatch.setattr(maps, "_index_from_exponents", lambda exps: mirror_index(inner(exps)))
     code, out, _ = run(capsys, "verify", "bijectivity", "--bound", "10")
     failures = json.loads(out)["failures"]
     assert code == 1 and failures

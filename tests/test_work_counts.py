@@ -7,13 +7,14 @@ grows with the input also gets a bound on its growth, derived from the code.
 """
 
 import random
+import sys
 
 import pytest
 
-from enumtree import analytics, cli, maps, sseq
+from enumtree import analytics, cli, maps, monoid, sseq
 from enumtree.cli import _SUITES
 from enumtree.maps import f_hat, f_hat_inverse, int_tree_rows
-from enumtree.monoid import word_to_matrix
+from enumtree.monoid import word_to_index, word_to_matrix
 from enumtree.pairs import ENUMERABLE_POLYS
 from enumtree.sseq import kernel_for, vector_tree_rows
 from oracles import trial_tau
@@ -107,6 +108,24 @@ def test_a_command_makes_one_word_table(monkeypatch, capsys, argv, lines, words)
     assert calls[0] == words
 
 
+@pytest.mark.parametrize("argv, writes", [
+    ("seq phi0 --count 100000 --format bfile", 73), ("tree psi2 --depth 12", 31),
+])
+def test_a_streamed_output_makes_one_write_per_chunk(monkeypatch, capsys, argv, writes):
+    # _write_joined: a write holds 1 + _WRITE_BYTES // (len(first) + 1) lines, first the
+    # line it starts with, and the last write whatever is left; no line spans two writes
+    texts = []
+    monkeypatch.setattr(sys.stdout, "write", texts.append)
+    assert cli.main(argv.split()) == 0
+    lines, chunks = "".join(texts).splitlines(), []
+    while sum(chunks) < len(lines):
+        per_write = 1 + cli._WRITE_BYTES // (len(lines[sum(chunks)]) + 1)
+        chunks.append(min(per_write, len(lines) - sum(chunks)))
+    assert [text.count("\n") for text in texts] == chunks
+    assert len(chunks) == writes
+    assert all(text.endswith("\n") for text in texts)
+
+
 @pytest.mark.parametrize("row, pair, converted", [
     (52, (2**53 - 1, 2**53 - 1), 0), (53, (1, 0), 3), (1, (2**53, 0), 3), (1, (0, 2**53), 3),
 ])
@@ -133,6 +152,30 @@ def test_vector_tree_rows_expand_one_fill(monkeypatch):
     assert len(rows[10]) == 1 << 10
     # rows 0..11 of s come from one fill of 2**12 - 1 slots, below the block depth
     assert calls[0] == ((1 << 12) - 1) // 4 == 1023
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+@pytest.mark.parametrize("depth", [0, 1, 5, 12])
+def test_int_tree_rows_shift_two_cofactors_per_parent(monkeypatch, f, depth):
+    # _int_rows: each of the 2**depth - 1 nodes of rows 0 .. depth - 1 makes its two
+    # children's cofactors by one _shifted_cofactor each
+    calls = _counting(monkeypatch, maps, "_shifted_cofactor")
+    assert sum(len(row) for row in int_tree_rows(f, depth)) == (2 << depth) - 1
+    assert calls[0] == 2 * ((1 << depth) - 1)
+
+
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+def test_inverse_encodes_its_reduction_once(monkeypatch, f):
+    # the exponents give the index, and the index the word: no word is built from the
+    # exponents and parsed back into the index
+    rng = random.Random(400 + ENUMERABLE_POLYS.index(f))
+    word = "".join(rng.choice("ST") for _ in range(300))
+    p, index = f_hat(f, word_to_matrix(word)), word_to_index(word)
+    encodes = _counting(monkeypatch, maps, "_index_from_exponents")
+    parses = _counting(monkeypatch, monoid, "word_to_index")
+    trace = f_hat_inverse(f, p)
+    assert (trace.word, trace.index) == (word, index)
+    assert (encodes[0], parses[0]) == (1, 0) and not hasattr(maps, "word_to_index")
 
 
 @pytest.mark.parametrize("name, steps", [("phi0", 143), ("phi1", 159), ("psi2", 156), ("phi3", 159)])
