@@ -332,7 +332,7 @@ def _suite_recursions(bound: int):
             if row != list(pairs):
                 yield f"{f}: row {r} of the kernel's pairs disagrees with the tree"
             yield len(row)
-        s = kernel._fill(4 * (1 << bound) + 4)  # slot j holds s(j)
+        s = kernel._fill(4 * (1 << bound) + 4, [*kernel.initial])  # slot j holds s(j)
         for k in range(kernel.start, (1 << bound) + 1):
             ok = (
                 s[4 * k] == 2 * s[2 * k] - s[k]

@@ -100,13 +100,12 @@ class SSeqKernel(Record):
         """s(k) by the digit walk; O(bits of k) time, O(1) memory."""
         return self._triple(k)[0]
 
-    def _fill(self, stop: int, top: Vec3 | None = None) -> list[int]:
-        """s in heap order by net_expand, to slot stop or up to 3 past it: slot k holds s(k);
-        from top = _triple(j), j >= start, level d holds s(j * 2**d), s(j * 2**d + 1), ...."""
-        if top is None:
-            first, vals = self.start, list(self.initial)
-        else:
-            first, vals = 1, [0, *top]
+    def _fill(self, stop: int, vals: list[int]) -> list[int]:
+        """vals, s in heap order, extended in place by net_expand from its first node not yet
+        expanded, len(vals) // 4, to slot stop or up to 3 past it, and returned.  From the
+        seeds [*initial], slot k holds s(k); from a top [0, *_triple(j)], j >= start, level d
+        holds s(j * 2**d), s(j * 2**d + 1), ...."""
+        first = len(vals) // 4
         const, kids = self.poly.beta, islice(vals, 2 * first, None)
         # vals grows as it is read: slots k, 2k and 2k + 1 expand to slots 4k .. 4k + 3
         for _, a, b, c in zip(range(first, stop // 4 + 1), islice(vals, first, None), kids, kids):
@@ -117,7 +116,7 @@ class SSeqKernel(Record):
         """[s(1), ..., s(count)] by a bottom-up fill; matches s_value pointwise."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        return self._fill(count)[1 : count + 1]
+        return self._fill(count, [*self.initial])[1 : count + 1]
 
     def _rows(self, depth: int, pairs: bool = False) -> Iterator[Iterable]:
         """Rows 0..depth of s as iterables used once, row r holding s(2**r), ...,
@@ -125,11 +124,13 @@ class SSeqKernel(Record):
         trees, JSON sequences, stats and verify rowsums read.  Past row d, where start = 2**d,
         a pair row takes its m from s rows r - 1 and r: net_expand's first and third branches
         less s(2k) give m(2j) = s(2j) - s(j) and m(2j + 1) = s(2j) + s(2j + 1) + beta for
-        j >= start; rows 0..d read s(2k) off the seeds.  With c = _BLOCK_DEPTH, rows to depth
-        max(c, d) come from one _fill; a deeper row r is the level r - t below each node j
-        of row t = max(r - c, d), filled again from _triple(j), so j >= start; while d <= c,
+        j >= start; rows 0..d read s(2k) off the seeds.  With c = _BLOCK_DEPTH, rows to
+        max(c, d) extend one list of s from the seeds, row by row; it is cleared before the
+        first deeper row.  A deeper row r is the level r - t below each node j of row
+        t = max(r - c, d), filled from the top [0, *_triple(j)], so j >= start; while d <= c,
         about 2**(c + 1) values are live at any depth.  depth is not checked."""
         c, d, beta = _BLOCK_DEPTH, self.start.bit_length() - 1, self.poly.beta
+        head = [*self.initial]
 
         def level(vals, lo, r):  # slots lo .. 2 * lo - 1, row r of s or of the pairs
             ns = vals[lo : 2 * lo]
@@ -141,18 +142,16 @@ class SSeqKernel(Record):
             ms = zip(map(sub, ev, vals[lo // 2 : lo]), map(add, map(add, ev, od), repeat(beta)))
             return zip(chain.from_iterable(ms), ns)
 
-        def deep(r):  # row r past the head: t and lo are its own, so a held row reads alike
+        def row(r):  # level slices the head at once, and t and lo are r's: a held row reads alike
+            if r <= max(c, d):
+                return level(self._fill((2 << r) - 1, head), 1 << r, r)
+            head.clear()
             t = max(r - c, d)
             lo = 1 << (r - t)
-            return chain.from_iterable(
-                level(self._fill(2 * lo - 1, self._triple(j)), lo, r) for j in range(1 << t, 2 << t)
-            )
+            tops = ([0, *self._triple(j)] for j in range(1 << t, 2 << t))
+            return chain.from_iterable(level(self._fill(2 * lo - 1, top), lo, r) for top in tops)
 
-        head = min(depth, max(c, d))
-        vals = self._fill((2 << head) - 1)  # slot k holds s(k)
-        yield from (level(vals, 1 << r, r) for r in range(head + 1))
-        del vals  # not kept while the deeper rows are filled
-        yield from map(deep, range(head + 1, depth + 1))
+        return map(row, range(depth + 1))
 
     def pair_at(self, k: int) -> DivisorPair:
         """The k-th breadth-first tree pair, (s(2k) - s(k), s(k))."""

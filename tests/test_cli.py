@@ -610,13 +610,10 @@ def test_verify_recursions_reads_the_kernels_deep_blocks(capsys, monkeypatch):
     monkeypatch.setattr(sseq, "_BLOCK_DEPTH", 4)
     assert run(capsys, "verify", "recursions") == default
     assert hashlib.sha256(default[1].encode()).hexdigest() == dict(GOLDEN_VERIFY_SHA256)["recursions"]
-    fill = sseq.SSeqKernel._fill
-
-    def corrupt(self, stop, top=None):
-        vals = fill(self, stop, top)
-        return vals if top is None else [v + 1 for v in vals]
-
-    monkeypatch.setattr(sseq.SSeqKernel, "_fill", corrupt)
+    # a top one off in each value shifts every level below it; the four branches read
+    # a fill from the seeds, which no top reaches
+    triple = sseq.SSeqKernel._triple
+    monkeypatch.setattr(sseq.SSeqKernel, "_triple", lambda self, k: [v + 1 for v in triple(self, k)])
     failures = suite_failures("recursions", 8)
     assert len(failures) == len(ENUMERABLE_POLYS) * 4  # rows 5..8 of each tree
     assert failures[0] == "phi0: row 5 of the kernel's pairs disagrees with the tree"

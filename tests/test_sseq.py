@@ -498,8 +498,8 @@ def test_blocks_are_the_prefix_with_its_doubled_terms(monkeypatch, f, pairs, dep
 @pytest.mark.parametrize("pairs", [False, True])
 def test_held_rows_read_as_rows_read_in_turn(monkeypatch, pairs):
     # x^2 - 2 has d = 2 (start 4): past the head, at block depth 3, rows 4 and 5 both
-    # start from row 2 but hold levels of 4 and 8 values, so a row held while the
-    # generator moves on must keep its own level
+    # start from row 2 but hold levels of 4 and 8 values, so a row held while
+    # later rows are made must keep its own level
     monkeypatch.setattr(sseq, "_BLOCK_DEPTH", 3)
     kern = kernel_for(EnumerablePoly("x^2 - 2", poly(-2, 0, 1)))
     held = [list(row) for row in list(kern._rows(8, pairs))]

@@ -146,12 +146,40 @@ def test_s_prefix_expands_one_node_per_four_terms(monkeypatch, f):
     assert calls[0] == 1000 // 4 - kern.start + 1 == (249 if f.name == "psi2" else 250)
 
 
+@pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeds", "top"])
+def test_fill_continues_the_list_it_is_given(monkeypatch, f, seeded):
+    # _fill starts at node len(vals) // 4, the first not yet expanded: a list filled to
+    # slot a and then on to b is the list filled to b at once, and the second call expands
+    # nodes a // 4 + 1 .. b // 4 alone (a lies past the seeds' 4 * start slots)
+    kern, (a, b) = kernel_for(f), (37, 301)
+
+    def fresh():
+        return [*kern.initial] if seeded else [0, *kern._triple(3 * kern.start)]
+
+    whole, part = kern._fill(b, fresh()), kern._fill(a, fresh())
+    calls = _counting(monkeypatch, sseq, "net_expand")
+    assert kern._fill(b, part) is part
+    assert part == whole and calls[0] == b // 4 - a // 4 == 66
+
+
 def test_vector_tree_rows_expand_one_fill(monkeypatch):
     calls = _counting(monkeypatch, sseq, "net_expand")
     rows = list(vector_tree_rows(10))
     assert len(rows[10]) == 1 << 10
     # rows 0..11 of s come from one fill of 2**12 - 1 slots, below the block depth
     assert calls[0] == ((1 << 12) - 1) // 4 == 1023
+
+
+def test_vector_tree_rows_past_the_block_depth_refill_their_rows(monkeypatch):
+    # vector_tree_rows(d) reads s rows 0..d + 1 of _rows, so a row past the block depth
+    # is filled again from its tops.  At block depth 6, depth 10 reads rows to 11: a head
+    # of 31 calls and, per row 6 + t, 2**t blocks of a t-digit top walk and a 31-call
+    # fill; a walk of one net_expand per node would make 2**10 - 1 = 1023
+    monkeypatch.setattr(sseq, "_BLOCK_DEPTH", 6)
+    calls = _counting(monkeypatch, sseq, "net_expand")
+    assert len(list(vector_tree_rows(10))) == 11
+    assert calls[0] == 31 + sum((1 << t) * (t + 31) for t in range(1, 6)) == 2211
 
 
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
@@ -214,12 +242,15 @@ def test_verify_recursions_makes_no_digit_walk_below_the_block_depth(monkeypatch
 
 
 def test_verify_recursions_holds_one_list_of_s(monkeypatch):
-    # per tree, the fill of its pair rows (slots to 2**(bound + 1) - 1) and one fill of s for
-    # the four branches, to slot 4 * 2**bound + 4 and the 3 past it; s_prefix makes no copy
+    # _fill expands nodes len(vals) // 4 .. stop // 4, so a list it returns holds
+    # max(len(vals), 4 * (stop // 4 + 1)) slots.  Per tree: the pair rows' one list, from
+    # the seeds' 4 * start slots, extended at row r to stop 2**(r + 1) - 1, so to
+    # max(4 * start, 2**(r + 1)) slots; then one fill of s for the four branches, from
+    # the seeds to stop 4 * 2**bound + 4, so 4 * 2**bound + 8 slots; s_prefix makes no copy
     fills, fill = [], sseq.SSeqKernel._fill
 
-    def recorded(self, stop, top=None):
-        vals = fill(self, stop, top)
+    def recorded(self, stop, vals):
+        vals = fill(self, stop, vals)
         fills.append(len(vals))
         return vals
 
@@ -227,7 +258,13 @@ def test_verify_recursions_holds_one_list_of_s(monkeypatch):
     monkeypatch.setattr(sseq.SSeqKernel, "s_prefix", None)
     bound = 9
     assert suite_failures("recursions", bound) == []
-    assert fills == [2 << bound, 4 * (1 << bound) + 8] * len(ENUMERABLE_POLYS)
+    expected = {
+        f.name: [*(max(4 * kernel_for(f).start, 2 << r) for r in range(bound + 1)), 4 * (1 << bound) + 8]
+        for f in ENUMERABLE_POLYS
+    }
+    assert fills == [n for f in ENUMERABLE_POLYS for n in expected[f.name]]
+    assert expected["phi0"][:4] == [4, 4, 8, 16] and expected["psi2"][:4] == [8, 8, 8, 16]
+    assert expected["phi0"][-2:] == expected["psi2"][-2:] == [1024, 4 * 2**9 + 8]
 
 
 def test_verify_bijectivity_walks_once_per_divisor(monkeypatch):
