@@ -9,20 +9,15 @@
     stats     row sums / ratio sums of a tree
     primerep  alternating prime-product representation of p at a root n
 
-Exit codes: 0 success, 1 verification failure, 2 budget exceeded or usage error, 3 bad
-pair (BadPair), 4 polynomial vanishes on the scanned range, 5 arithmetic give-up
-(factorization limit, unreducible pair, number too large, a result too large to allocate),
-70 internal error (any other exception, one stderr line `internal error: <Type>:
-<message>`), 141 (128 + SIGPIPE) stdout closed by the reader.  Commands raise; main alone
-maps a failure to its code (_EXIT_BY_FAILURE).  JSON integers above 2^53 - 1 are decimal
-strings.  Output goes out about 16 KB per write, sized from the write's first part, one
-part read ahead (_write_joined).  tree --format text, seq, stats and verify rowsums stream
-SSeqKernel._rows in bounded blocks, which verify recursions checks against the moves; only
-tree --format json walks maps.tree_rows.  The node budget is 2^21 unless --max-nodes, or
-else ENUMTREE_MAX_NODES, sets it for tree or stats; maps.check_tree_size checks each depth
-once, before any work, so a negative or oversized depth exits 2 with empty stdout.  Each
-verify suite yields a count per batch of checks and a line per failure; _cmd_verify alone
-tallies them.
+Commands raise; main alone maps a failure to its code (_EXIT_BY_FAILURE).  JSON integers
+above 2^53 - 1 are decimal strings.  Output goes out about 16 KB per write, sized from the
+write's first part, one part read ahead (_write_joined).  tree --format text, seq, stats
+and verify rowsums stream SSeqKernel._rows in bounded blocks, which verify recursions
+checks against the moves; only tree --format json walks maps.tree_rows.  The node budget
+is 2^21 unless --max-nodes, or else ENUMTREE_MAX_NODES, sets it for tree or stats;
+maps.check_tree_size checks each depth once, before any work, so a negative or oversized
+depth exits 2 with empty stdout.  Each verify suite yields a count per batch of checks and
+a line per failure; _cmd_verify alone tallies them.
 """
 
 import argparse
@@ -47,7 +42,6 @@ from .sseq import kernel_for
 
 __all__ = ["main", "console_main"]
 
-_POLY_NAMES = tuple(POLY_BY_NAME)
 _SAFE_INT = (1 << 53) - 1
 
 EXIT_OK = 0
@@ -436,33 +430,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Divisor-pair trees of four integer quadratics and their sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argparse.ArgumentParser(add_help=False)  # the tree a command reads
+    named.add_argument("poly", choices=POLY_BY_NAME)
 
-    p_tree = sub.add_parser("tree", help="emit a divisor-pair tree breadth first")
-    p_tree.add_argument("poly", choices=_POLY_NAMES)
+    p_tree = sub.add_parser("tree", parents=[named], help="emit a divisor-pair tree breadth first")
     p_tree.add_argument("--depth", type=int, required=True)
     p_tree.add_argument("--format", choices=("json", "text"), default="json")
     p_tree.add_argument("--max-nodes", type=int, default=None)
     p_tree.set_defaults(func=_cmd_tree)
 
-    p_seq = sub.add_parser("seq", help="emit a second-component sequence")
-    p_seq.add_argument("poly", choices=_POLY_NAMES)
+    p_seq = sub.add_parser("seq", parents=[named], help="emit a second-component sequence")
     p_seq.add_argument("--count", type=int, required=True)
     p_seq.add_argument("--format", choices=("bfile", "json"), default="bfile")
     p_seq.set_defaults(func=_cmd_seq)
 
-    p_inv = sub.add_parser("inverse", help="invert a divisor pair to word/matrix/index")
-    p_inv.add_argument("poly", choices=_POLY_NAMES)
+    p_inv = sub.add_parser(
+        "inverse", parents=[named], help="invert a divisor pair to word/matrix/index"
+    )
     p_inv.add_argument("m", type=int)
     p_inv.add_argument("n", type=int)
     p_inv.set_defaults(func=_cmd_inverse)
 
-    p_fiber = sub.add_parser("fiber", help="tree indices carrying a given n")
-    p_fiber.add_argument("poly", choices=_POLY_NAMES)
+    p_fiber = sub.add_parser("fiber", parents=[named], help="tree indices carrying a given n")
     p_fiber.add_argument("n", type=int)
     p_fiber.set_defaults(func=_cmd_fiber)
 
     p_verify = sub.add_parser("verify", help="run a self-check suite")
-    p_verify.add_argument("suite", choices=tuple(_SUITES))
+    p_verify.add_argument("suite", choices=_SUITES)
     p_verify.add_argument("--bound", type=int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -473,15 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("rest", nargs=argparse.REMAINDER)
     p_scan.set_defaults(func=_cmd_scan)
 
-    p_stats = sub.add_parser("stats", help="row sums of a tree")
-    p_stats.add_argument("poly", choices=_POLY_NAMES)
+    p_stats = sub.add_parser("stats", parents=[named], help="row sums of a tree")
     p_stats.add_argument("--kmax", type=int, required=True)
     p_stats.add_argument("--format", choices=("text", "json"), default="text")
     p_stats.add_argument("--max-nodes", type=int, default=None)
     p_stats.set_defaults(func=_cmd_stats)
 
-    p_rep = sub.add_parser("primerep", help="alternating prime-product representation")
-    p_rep.add_argument("poly", choices=_POLY_NAMES)
+    p_rep = sub.add_parser(
+        "primerep", parents=[named], help="alternating prime-product representation"
+    )
     p_rep.add_argument("p", type=int)
     p_rep.add_argument("n", type=int)
     p_rep.set_defaults(func=_cmd_primerep)

@@ -13,7 +13,7 @@ A -> S*A and right child A -> T*A, indexed heap style: root 1, children of k
 at 2k (S step) and 2k+1 (T step).  The rightmost letter of a word is the
 first step down from the root.
 
-All values are immutable; entries are arbitrary-precision.
+All values are immutable; entries are integers of arbitrary precision.
 """
 
 from ._record import Record
@@ -34,14 +34,14 @@ __all__ = [
 
 
 class Mat2(Record):
-    """Row-major [[a, b], [c, d]] with a*d - b*c == 1 and entries >= 0."""
+    """Row-major [[a, b], [c, d]] with a*d - b*c == 1 and integer entries >= 0."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
         super().__init__(a, b, c, d)  # bound first: the messages below print self
-        if min(a, b, c, d) < 0:
-            raise ValueError(f"negative entry in {self!r}")
+        if not all(isinstance(v, int) and v >= 0 for v in (a, b, c, d)):
+            raise ValueError(f"entry of {self!r} is not an integer >= 0")
         if a * d - b * c != 1:
             raise ValueError(f"determinant of {self!r} is not 1")
 
@@ -95,8 +95,10 @@ def matrix_to_word(x: Mat2) -> str:
     """The unique generator word for x; inverse of word_to_matrix.
 
     Strips the leading factor greedily: x = S*B exactly when the bottom row
-    dominates the top row componentwise, otherwise x = T*B.  The entry sum
-    drops strictly each step, so this terminates.
+    dominates the top row componentwise, otherwise x = T*B: one row of an element
+    other than I dominates the other, as a > c with d > b forces b = c = 0 (x = I)
+    and a < c with b > d makes ad - bc negative.  The entry sum drops strictly
+    each step, so this terminates.
     """
     letters: list[str] = []
     a, b, c, d = x.a, x.b, x.c, x.d
@@ -105,12 +107,10 @@ def matrix_to_word(x: Mat2) -> str:
             letters.append("S")
             c -= a
             d -= b
-        elif a >= c and b >= d:
+        else:
             letters.append("T")
             a -= c
             b -= d
-        else:  # impossible for a valid element; guards corrupted input
-            raise ValueError(f"{x!r} has no leading S or T factor")
     return "".join(letters)
 
 

@@ -64,6 +64,8 @@ class Poly(Record):
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use poly() to normalize")
+        if not all(isinstance(c, int) for c in coeffs):
+            raise ValueError(f"coefficients must be integers, got {coeffs}")
         super().__init__(coeffs)
 
     def __call__(self, n: int) -> int:
@@ -166,7 +168,7 @@ class BadPair(ValueError):
 
 
 class DivisorPair(Record):
-    """A pair (m, n) with m >= 1 dividing |f(n)|, bound to its polynomial f.
+    """An integer pair (m, n), n >= 0, with m >= 1 dividing |f(n)|, bound to its polynomial f.
 
     Carrying f on the pair keeps the complement move self-contained and stops
     pairs from different trees being mixed by accident.
@@ -175,10 +177,10 @@ class DivisorPair(Record):
     __slots__ = ("m", "n", "poly")
 
     def __init__(self, m: int, n: int, poly: Poly) -> None:
-        if m < 1:
-            raise BadPair(f"first component must be >= 1, got {m}")
-        if n < 0:
-            raise BadPair(f"second component must be >= 0, got {n}")
+        if not (isinstance(m, int) and m >= 1):
+            raise BadPair(f"first component must be an integer >= 1, got {m}")
+        if not (isinstance(n, int) and n >= 0):
+            raise BadPair(f"second component must be an integer >= 0, got {n}")
         if abs(poly(n)) % m != 0:
             raise BadPair(f"{m} does not divide |f({n})| for f = {poly}")
         super().__init__(m, n, poly)

@@ -151,6 +151,59 @@ def test_unknown_polynomial_is_usage_error(capsys):
     assert code == 2
 
 
+# stdout SHA-256 of `--help` at 80 columns, for the top parser ("") and each command
+HELP_SHA256 = {
+    "": "3839eb6a249674dcfb0b5622291d9f42d3629f6d85d4d0913242f28459d486f5",
+    "tree": "47ffdc7d73f492ee1171b0b80f613ea8d028410802f6269c99589de5de468b0e",
+    "seq": "938df1c1000eecd8728ab1604712f4bfd6fdc3705aca6945a363a701ad56afdf",
+    "inverse": "40fdf34e7026633c9f2e109f385a6de9e01bd26e5447e627251611053355026d",
+    "fiber": "d2e8ec1ec7ba8a30bd9b6c9ee6425e3e0a7a28c7fd9023091fbf40cceff42888",
+    "verify": "b5c288ef16bdd42d13dde3811b168ad6bc7e8a4bc8e6a268a172028163aedcee",
+    "scan": "658105cada4924802888053b7bd5fbe653a7a4d63825f6750ad188f749b9049b",
+    "stats": "c93a0048ffafc57c138a75829576c4c2986ffd1a156b267251f62b47b5c6bf84",
+    "primerep": "f72bd5dec7a826f08072fcce662508589a9b5a4b274b76339a1feef08e05a3b5",
+}
+
+_TREE_USAGE = """\
+usage: enumtree tree [-h] --depth DEPTH [--format {json,text}]
+                     [--max-nodes MAX_NODES]
+                     {phi0,phi1,psi2,phi3}
+"""
+_CHOOSE_A_POLY = "(choose from 'phi0', 'phi1', 'psi2', 'phi3')"
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], "usage: enumtree [-h] {tree,seq,inverse,fiber,verify,scan,stats,primerep} ...\n"
+         "enumtree: error: the following arguments are required: command\n"),
+    (["tree"], _TREE_USAGE
+     + "enumtree tree: error: the following arguments are required: poly, --depth\n"),
+    (["tree", "phi0"], _TREE_USAGE
+     + "enumtree tree: error: the following arguments are required: --depth\n"),
+    (["tree", "phi9", "--depth", "3"], _TREE_USAGE
+     + f"enumtree tree: error: argument poly: invalid choice: 'phi9' {_CHOOSE_A_POLY}\n"),
+    (["seq", "bogus"], "usage: enumtree seq [-h] --count COUNT [--format {bfile,json}]\n"
+     "                    {phi0,phi1,psi2,phi3}\n"
+     f"enumtree seq: error: argument poly: invalid choice: 'bogus' {_CHOOSE_A_POLY}\n"),
+    (["verify", "nosuch"], "usage: enumtree verify [-h] [--bound BOUND]\n"
+     "                       {bijectivity,tau,primality,recursions,rowsums,classification,"
+     "prime-reps}\n"
+     "enumtree verify: error: argument suite: invalid choice: 'nosuch' (choose from "
+     "'bijectivity', 'tau', 'primality', 'recursions', 'rowsums', 'classification', "
+     "'prime-reps')\n"),
+])
+def test_usage_errors_are_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (2, "", expected)
+
+
 def test_inverse_worked_example(capsys):
     code, out, _ = run(capsys, "inverse", "phi1", "37", "100")
     assert code == 0
@@ -173,6 +226,12 @@ def test_inverse_root(capsys):
 def test_inverse_bad_pair_exit(capsys):
     code, _, err = run(capsys, "inverse", "phi0", "3", "1")
     assert code == 3 and "does not divide" in err
+
+
+def test_a_pair_component_out_of_range_exits_3(capsys):
+    assert run(capsys, "inverse", "phi0", "0", "1") == (
+        3, "", "error: first component must be an integer >= 1, got 0\n"
+    )
 
 
 def test_bad_pair_message_prints_when_f_n_is_too_long_to_print(capsys):

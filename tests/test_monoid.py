@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -33,8 +34,9 @@ def test_mat2_invariants_enforced():
         Mat2(1, 0, 0, 2)  # det 2
     with pytest.raises(ValueError):
         Mat2(1, 2, 1, 1)  # det -1
-    with pytest.raises(ValueError):
-        Mat2(1, -1, 0, 1)  # negative entry
+    for entries in ((1, -1, 0, 1), (2, 0.5, 2, 1), (1.0, 0, 0, 1)):  # det 1, entry refused
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            Mat2(*entries)
 
 
 def test_complement_examples():
@@ -91,6 +93,16 @@ def test_word_to_matrix_is_the_product_of_its_generators():
     for bad in ("SX", "s", "T T", "0"):
         with pytest.raises(ValueError, match="word may only contain 'S' and 'T'"):
             word_to_matrix(bad)
+
+
+def test_matrix_to_word_strips_every_small_element():
+    # one row dominates at every step, so the plain else of matrix_to_word
+    # never takes a wrong T: every element with entries up to 12 round-trips
+    small = range(13)
+    for a, b, c, d in product(small, repeat=4):
+        if a * d - b * c == 1:
+            x = Mat2(a, b, c, d)
+            assert word_to_matrix(matrix_to_word(x)) == x
 
 
 def _strips_s(x: Mat2) -> bool:

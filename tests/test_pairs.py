@@ -45,6 +45,11 @@ def test_poly_normalization_and_str():
     assert str(-poly(1, 5, 1)) == "-x^2-5x-1"
 
 
+def test_poly_refuses_a_non_integer_coefficient():
+    with pytest.raises(ValueError, match=r"coefficients must be integers, got \(0\.5, 1\)"):
+        poly(0.5, 1)
+
+
 def test_enumerable_poly_must_be_monic_quadratic():
     for f in (poly(1, 0, 2), poly(1, 1), poly(1, 0, 0, 1), poly(5), poly()):
         with pytest.raises(ValueError, match="not a monic quadratic"):
@@ -113,6 +118,19 @@ def test_pair_construction_guards():
 def test_bad_pairs_raise_bad_pair(bad):
     with pytest.raises(BadPair):
         bad()
+
+
+@pytest.mark.parametrize("m, n, message", [
+    (4.25, 4.5, "first component must be an integer >= 1, got 4.25"),  # 4.25 | f(4.5) = 21.25
+    (1.0, 1, "first component must be an integer >= 1, got 1.0"),
+    (1, 1.0, "second component must be an integer >= 0, got 1.0"),
+    (0, 5, "first component must be an integer >= 1, got 0"),
+    (1, -1, "second component must be an integer >= 0, got -1"),
+])
+def test_pair_components_are_integers_in_range(m, n, message):
+    with pytest.raises(BadPair) as info:
+        make_pair(m, n, PHI0)
+    assert str(info.value) == message
 
 
 def test_bad_pair_is_a_public_value_error():
