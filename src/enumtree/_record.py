@@ -3,10 +3,16 @@
 A record's fields are its __slots__, bound in order by Record.__init__ alone: a
 record with checks calls it after them, or before them where they print the record.
 _fields() reads them in order, and equality, hashing, repr and pickling all go
-by it.
+by it.  at_least is the one check of every bounded integer argument, in one message.
 """
 
 set_field = object.__setattr__
+
+
+def at_least(name: str, value, least: int, error: type = ValueError) -> None:
+    """Raise error naming value unless it is an integer >= least."""
+    if not (isinstance(value, int) and value >= least):
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _frozen(message: str):

@@ -24,7 +24,7 @@ equal-valued adjacent factors are left uncancelled; verify prime-reps checks the
 from math import gcd
 from typing import TYPE_CHECKING, Iterable
 
-from ._record import Record
+from ._record import Record, at_least
 from .arith import is_prime, primes_up_to, sqrt_mod
 from .maps import DEFAULT_NODE_BUDGET, check_tree_size, f_hat_inverse
 from .pairs import BadPair, EnumerablePoly, make_pair
@@ -99,8 +99,7 @@ def row_stats_recursive(k: int) -> RowStats:
     Fraction(3 * 2^k, 4), which reproduces the closed form at every k.
     """
     from fractions import Fraction
-    if k < 0:
-        raise ValueError(f"row index must be >= 0, got {k}")
+    at_least("row index", k, 0)
     m_prev, m_cur = 1, 1  # M_-1 and M_0, so that M_1 = 5 - 2 = 3
     n_prev, n_cur = -1, 0  # N_-1 and N_0, so that N_1 = 0 + 2 = 2
     r = Fraction(0)
@@ -114,8 +113,7 @@ def row_stats_recursive(k: int) -> RowStats:
 def ratio_closed_form(k: int) -> "Fraction":
     """(3/2)(2^k - 1), the exact ratio sum of row k of the x^2 + 1 tree."""
     from fractions import Fraction
-    if k < 0:
-        raise ValueError(f"row index must be >= 0, got {k}")
+    at_least("row index", k, 0)
     return Fraction(3, 2) * ((1 << k) - 1)
 
 

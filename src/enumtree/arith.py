@@ -13,6 +13,8 @@ deterministic parameter schedule, so repeated runs give identical results.
 
 from math import gcd, isqrt
 
+from ._record import at_least
+
 __all__ = [
     "is_prime",
     "factorize",
@@ -139,8 +141,7 @@ def _brent_rho(n: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
+    at_least("n", n, 1)
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:  # no prime factor below p is left, so n is 1 or prime

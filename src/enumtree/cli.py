@@ -27,6 +27,7 @@ from itertools import chain, count, islice
 from math import isqrt
 
 from . import analytics, classify
+from ._record import at_least
 from .arith import FactorLimitExceeded, divisors, is_prime, primes_up_to
 from .maps import (
     DEFAULT_NODE_BUDGET,
@@ -150,8 +151,7 @@ def _cmd_tree(args) -> int:
 
 def _cmd_seq(args) -> int:
     f, count = POLY_BY_NAME[args.poly], args.count
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    at_least("count", count, 1)
     rows = kernel_for(f)._rows(count.bit_length() - 1, args.format == "json")
     if args.format == "bfile":
         lines = (f"{k} {v}" for k, v in enumerate(chain.from_iterable(rows), 1))
@@ -221,8 +221,7 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
             if value is None:
                 raise ValueError("--nmax needs a value")
             n_max = integer(value, f"--nmax needs an integer, got {value!r}")
-            if n_max < 0:
-                raise ValueError(f"--nmax must be >= 0, got {n_max}")
+            at_least("--nmax", n_max, 0)
         else:
             coeffs.append(integer(tok, f"unrecognized scan argument {tok!r}"))
     if not coeffs:
@@ -401,8 +400,7 @@ def _cmd_verify(args) -> int:
     import json
     runner, default_bound = _SUITES[args.suite]
     bound = args.bound if args.bound is not None else default_bound
-    if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
+    at_least("bound", bound, 0)
     checked, failures = 0, []
     for item in runner(bound):  # a count of checks made, or a failure line
         if isinstance(item, str):

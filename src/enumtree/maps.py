@@ -25,7 +25,7 @@ cycling.
 
 from typing import Iterator
 
-from ._record import Record
+from ._record import Record, at_least
 from .classify import LEFT, _violation
 from .monoid import Mat2, index_to_word, matrix_to_word
 from .pairs import (
@@ -63,9 +63,9 @@ class NodeBudgetExceeded(RuntimeError):
 
 
 def check_tree_size(depth: int, max_nodes: int, name: str = "depth") -> None:
-    """Refuse a negative depth, or rows 0..depth beyond max_nodes in total, by its name."""
-    if depth < 0:
-        raise ValueError(f"{name} must be >= 0, got {depth}")
+    """Refuse a depth or max_nodes not an integer >= 0, or rows 0..depth past max_nodes, by name."""
+    at_least(name, depth, 0)
+    at_least("max_nodes", max_nodes, 0)
     if depth + 1 >= (max_nodes + 1).bit_length():  # 2^(depth+1) - 1 > max_nodes, in O(1)
         total = (1 << (depth + 1)) - 1 if depth < 64 else f"2^{depth + 1} - 1"
         raise NodeBudgetExceeded(f"{name} {depth} needs {total} nodes, budget is {max_nodes}")

@@ -16,7 +16,7 @@ first step down from the root.
 All values are immutable; entries are integers of arbitrary precision.
 """
 
-from ._record import Record
+from ._record import Record, at_least
 
 __all__ = [
     "Mat2",
@@ -127,8 +127,7 @@ def index_to_word(k: int) -> str:
     the path from the root; each step prepends its letter to the word, so the
     word is those digits reversed, 0 -> 'S' and 1 -> 'T'.
     """
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
+    at_least("index", k, 1)
     return bin(k)[:2:-1].translate(_DIGIT_LETTERS)
 
 
@@ -137,7 +136,6 @@ def mirror_index(k: int) -> int:
 
     Complementing a matrix lands on the mirrored node.
     """
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
+    at_least("index", k, 1)
     row = k.bit_length() - 1
     return (3 << row) - 1 - k

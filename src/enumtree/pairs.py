@@ -26,7 +26,7 @@ q + k*(2n + b + k*m), which integer moves use in place of evaluating f.
 from math import isqrt
 from typing import Union
 
-from ._record import Record
+from ._record import Record, at_least
 
 __all__ = [
     "Poly",
@@ -159,8 +159,9 @@ def poly_eval(f: PolyLike, n: int) -> int:
 
 
 def pair_in_df(f: PolyLike, m: int, n: int) -> bool:
-    """True iff m >= 1, n >= 0 and m divides |f(n)|."""
-    return m >= 1 and n >= 0 and abs(as_poly(f)(n)) % m == 0
+    """True iff m and n are integers, m >= 1, n >= 0 and m divides |f(n)|."""
+    ints = isinstance(m, int) and isinstance(n, int)
+    return ints and m >= 1 and n >= 0 and abs(as_poly(f)(n)) % m == 0
 
 
 class BadPair(ValueError):
@@ -177,10 +178,8 @@ class DivisorPair(Record):
     __slots__ = ("m", "n", "poly")
 
     def __init__(self, m: int, n: int, poly: Poly) -> None:
-        if not (isinstance(m, int) and m >= 1):
-            raise BadPair(f"first component must be an integer >= 1, got {m}")
-        if not (isinstance(n, int) and n >= 0):
-            raise BadPair(f"second component must be an integer >= 0, got {n}")
+        at_least("first component", m, 1, BadPair)
+        at_least("second component", n, 0, BadPair)
         if abs(poly(n)) % m != 0:
             raise BadPair(f"{m} does not divide |f({n})| for f = {poly}")
         super().__init__(m, n, poly)

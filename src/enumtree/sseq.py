@@ -46,7 +46,7 @@ from operator import add, sub
 from typing import Iterable, Iterator
 
 from . import maps
-from ._record import Record
+from ._record import Record, at_least
 from .arith import divisors
 from .maps import DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
 from .monoid import mirror_index
@@ -84,8 +84,7 @@ class SSeqKernel(Record):
 
     def _triple(self, k: int) -> Vec3:
         """(s(k), s(2k), s(2k+1)) by the digit walk from k's seed node."""
-        if k < 1:
-            raise ValueError(f"index must be >= 1, got {k}")
+        at_least("index", k, 1)
         digits = bin(k)[2:]
         head = min(len(digits), self.start.bit_length())
         j = int(digits[:head], 2)
@@ -114,8 +113,7 @@ class SSeqKernel(Record):
 
     def s_prefix(self, count: int) -> list[int]:
         """[s(1), ..., s(count)] by a bottom-up fill; matches s_value pointwise."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        at_least("count", count, 1)
         return self._fill(count, [*self.initial])[1 : count + 1]
 
     def _rows(self, depth: int, pairs: bool = False) -> Iterator[Iterable]:
@@ -163,8 +161,7 @@ class SSeqKernel(Record):
 
         One evaluation of f, one reduction per couple m * q = |f(n)| (module docstring).
         """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        at_least("n", n, 0)
         if n == 0:
             return {1}  # the root (1, 0) alone (module docstring)
         f, value = self.poly, self.poly.poly(n)
@@ -178,11 +175,9 @@ class SSeqKernel(Record):
     def is_f_prime_via_fiber(self, n: int, fiber: set[int] | None = None) -> bool:
         """True iff the fiber of n (computed unless given) is the two boundary indices.
 
-        Equivalent to |f(n)| being prime; n must be >= 1 (the root value 1 at
-        n = 0 is a unit).
+        Equivalent to |f(n)| being prime; n >= 1 (the root value 1 at n = 0 is a unit).
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        at_least("n", n, 1)
         if fiber is None:
             fiber = self.fiber(n)
         return fiber == {1 << n, (1 << (n + 1)) - 1}

@@ -9,7 +9,7 @@ added or changed is run.  Each mutant is written into a fresh temporary copy of
 the repository, and the tier-1 suite runs there with -x, one mutant at a time,
 under a timeout.  The unmutated suite runs first and must pass; unless --timeout
 is given, each mutant may take that green run's time plus twice TEST_DEADLINE_S
-of tests/conftest.py (a test past the deadline fails, and a stall inside C ends
+of the root conftest.py (a test past the deadline fails, and a stall inside C ends
 the run at twice it).  Every site is printed with its outcome:
 
     killed    a test failed
@@ -40,9 +40,10 @@ import time
 import tokenize
 from pathlib import Path
 
-from conftest import TEST_DEADLINE_S  # tests/ is on sys.path when this runs as a script
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))  # ahead of tests/, whose conftest.py holds no deadline
+from conftest import TEST_DEADLINE_S  # noqa: E402
+
 SKIPPED_MODULES = {"_record.py", "__init__.py"}
 PARTNER = {"+": "-", "*": "//", "<<": ">>", "<": "<=", ">": ">=", "==": "!=",
            "+=": "-=", "*=": "//=", "<<=": ">>="}

@@ -1,9 +1,11 @@
 import ast
 import hashlib
+import inspect
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumtree
-from enumtree import analytics, arith, cli, maps, sseq
+from enumtree import _record, analytics, arith, cli, maps, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
 from enumtree.maps import f_hat, f_hat_inverse, tree_rows
@@ -64,7 +66,7 @@ def test_seq_json_records(capsys):
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_seq_refuses_a_nonpositive_count_in_every_format(capsys, fmt, count):
     code, out, err = run(capsys, "seq", "phi0", "--count", count, "--format", fmt)
-    assert (code, out, err) == (2, "", f"error: count must be >= 1, got {count}\n")
+    assert (code, out, err) == (2, "", f"error: count must be an integer >= 1, got {count}\n")
 
 
 def test_tree_json(capsys):
@@ -336,7 +338,7 @@ def test_scan_names_a_non_integer_nmax(capsys):
 
 def test_scan_refuses_a_negative_nmax(capsys):
     code, out, err = run(capsys, "scan", "--", "1", "5", "1", "--nmax", "-1")
-    assert (code, out, err) == (2, "", "error: --nmax must be >= 0, got -1\n")
+    assert (code, out, err) == (2, "", "error: --nmax must be an integer >= 0, got -1\n")
     code, out, _ = run(capsys, "scan", "--", "1", "5", "1", "--nmax", "0")  # the least is valid
     assert (code, out) == (0, "no violations up to n_max = 0 for f = x^2+5x+1\n")
 
@@ -368,7 +370,7 @@ def test_stats_refuses_before_any_row(capsys, monkeypatch):
     code, out, err = run(capsys, "stats", "phi0", "--kmax", "5", "--max-nodes", "20")
     assert (code, out, err) == (2, "", "error: kmax 5 needs 63 nodes, budget is 20\n")
     code, out, err = run(capsys, "stats", "phi0", "--kmax", "-1")
-    assert (code, out, err) == (2, "", "error: kmax must be >= 0, got -1\n")
+    assert (code, out, err) == (2, "", "error: kmax must be an integer >= 0, got -1\n")
     code, out, err = run(capsys, "stats", "phi0", "--kmax", "21")
     assert (code, out, err) == (2, "", "error: kmax 21 needs 4194303 nodes, budget is 2097152\n")
 
@@ -611,7 +613,7 @@ def test_the_suites_trial_divisor_count_counts_a_square_root_once():
 @pytest.mark.parametrize("suite", sorted(_SUITES))
 def test_verify_refuses_a_negative_bound_in_every_suite(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--bound", "-1")
-    assert (code, out, err) == (2, "", "error: bound must be >= 0, got -1\n")
+    assert (code, out, err) == (2, "", "error: bound must be an integer >= 0, got -1\n")
     code, out, _ = run(capsys, "verify", suite, "--bound", "0")  # the least bound is valid
     assert code == 0 and json.loads(out)["bound"] == 0
 
@@ -1296,6 +1298,21 @@ def test_verify_suites_yield_to_the_one_tally_of_cmd_verify():
         assert any(isinstance(n, ast.Yield) for n in nodes), suite.name
         assert not any(isinstance(n, ast.Try) for n in nodes), suite.name
         assert not any(isinstance(n, ast.Return) and n.value is not None for n in nodes), suite.name
+
+
+def test_one_check_refuses_a_bounded_integer_argument():
+    # _record.at_least alone writes the "must be an integer >=" refusal; no module spells
+    # out a range test of its own in that shape
+    src = Path(enumtree.__file__).parent
+    found = [
+        (path.name, i)
+        for path in sorted(src.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"must be (an integer )?>=", line)
+    ]
+    lines, start = inspect.getsourcelines(_record.at_least)
+    inside = [(name, i) for name, i in found if name == "_record.py" and 0 <= i - start < len(lines)]
+    assert len(inside) == 1 and found == inside
 
 
 def test_library_has_no_assert_statements():

@@ -294,8 +294,18 @@ def test_tree_size_refusal_writes_a_count_past_64_bits_as_a_power():
         check_tree_size(63, 7)
     with pytest.raises(NodeBudgetExceeded, match=r"^kmax 64 needs 2\^65 - 1 nodes, budget is 7$"):
         check_tree_size(64, 7, "kmax")
-    with pytest.raises(ValueError, match=r"^bound must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^bound must be an integer >= 0, got -1$"):
         check_tree_size(-1, 7, "bound")
+
+
+@pytest.mark.parametrize("budget", [-5, -1, 2.0, 1e6])
+def test_a_negative_or_non_integer_budget_is_refused(budget):
+    # -5: by bit length alone, (-5 + 1).bit_length() = 3 would let rows 0..1 through
+    message = f"^max_nodes must be an integer >= 0, got {budget!r}$"
+    with pytest.raises(ValueError, match=message):
+        check_tree_size(1, budget)
+    with pytest.raises(ValueError, match=message):
+        int_tree_rows(PHI0, 1, budget)
 
 
 def test_tree_size_check_builds_no_integer_of_the_depths_size():

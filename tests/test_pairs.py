@@ -124,6 +124,8 @@ def test_bad_pairs_raise_bad_pair(bad):
     (4.25, 4.5, "first component must be an integer >= 1, got 4.25"),  # 4.25 | f(4.5) = 21.25
     (1.0, 1, "first component must be an integer >= 1, got 1.0"),
     (1, 1.0, "second component must be an integer >= 0, got 1.0"),
+    (1.0, 2, "first component must be an integer >= 1, got 1.0"),  # 1.0 | f(2) = 5
+    (2, 1.0, "second component must be an integer >= 0, got 1.0"),  # 2 | f(1.0) = 2.0
     (0, 5, "first component must be an integer >= 1, got 0"),
     (1, -1, "second component must be an integer >= 0, got -1"),
 ])
@@ -131,6 +133,7 @@ def test_pair_components_are_integers_in_range(m, n, message):
     with pytest.raises(BadPair) as info:
         make_pair(m, n, PHI0)
     assert str(info.value) == message
+    assert not pair_in_df(PHI0, m, n)  # membership says no to what make_pair refuses
 
 
 def test_bad_pair_is_a_public_value_error():

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from argparse import Namespace
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
@@ -12,12 +13,20 @@ from pathlib import Path
 import pytest
 
 import enumtree
-from enumtree.analytics import PrimeRepresentation, RowStats
+from enumtree import cli
+from enumtree.analytics import (
+    PrimeRepresentation,
+    RowStats,
+    ratio_closed_form,
+    row_stats_direct,
+    row_stats_recursive,
+)
+from enumtree.arith import divisors, factorize, tau
 from enumtree.classify import ViolationCertificate
-from enumtree.maps import InverseTrace
-from enumtree.monoid import IDENTITY, Mat2
-from enumtree.pairs import PHI0, DivisorPair, EnumerablePoly, Poly
-from enumtree.sseq import SSeqKernel
+from enumtree.maps import InverseTrace, check_tree_size, int_tree_rows, tree_rows
+from enumtree.monoid import IDENTITY, Mat2, index_to_word, mirror_index
+from enumtree.pairs import PHI0, BadPair, DivisorPair, EnumerablePoly, Poly, make_pair
+from enumtree.sseq import SSeqKernel, kernel_for, vector_tree_rows
 
 X2_1 = Poly(coeffs=(1, 0, 1))
 
@@ -173,3 +182,64 @@ def test_primerep_run_skips_the_rational_modules():
         capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (0, "0 []", "")
+
+
+# Every library entry point that takes a bounded integer, with the name and least value
+# its refusal gives and the error it raises; each reaches _record.at_least.
+BOUNDED_ARGUMENTS = [
+    pytest.param(index_to_word, "index", 1, ValueError, id="index_to_word"),
+    pytest.param(mirror_index, "index", 1, ValueError, id="mirror_index"),
+    pytest.param(lambda v: kernel_for(PHI0).s_value(v), "index", 1, ValueError, id="s_value"),
+    pytest.param(lambda v: kernel_for(PHI0).pair_at(v), "index", 1, ValueError, id="pair_at"),
+    pytest.param(lambda v: kernel_for(PHI0).s_prefix(v), "count", 1, ValueError, id="s_prefix"),
+    pytest.param(lambda v: kernel_for(PHI0).fiber(v), "n", 0, ValueError, id="fiber"),
+    pytest.param(
+        lambda v: kernel_for(PHI0).is_f_prime_via_fiber(v), "n", 1, ValueError,
+        id="is_f_prime_via_fiber",
+    ),
+    pytest.param(row_stats_recursive, "row index", 0, ValueError, id="row_stats_recursive"),
+    pytest.param(ratio_closed_form, "row index", 0, ValueError, id="ratio_closed_form"),
+    pytest.param(lambda v: check_tree_size(v, 100), "depth", 0, ValueError, id="depth"),
+    pytest.param(lambda v: check_tree_size(v, 100, "kmax"), "kmax", 0, ValueError, id="kmax"),
+    pytest.param(lambda v: check_tree_size(1, v), "max_nodes", 0, ValueError, id="max_nodes"),
+    pytest.param(lambda v: tree_rows(PHI0, v), "depth", 0, ValueError, id="tree_rows"),
+    pytest.param(lambda v: int_tree_rows(PHI0, v), "depth", 0, ValueError, id="int_tree_rows"),
+    pytest.param(vector_tree_rows, "depth", 0, ValueError, id="vector_tree_rows"),
+    pytest.param(
+        lambda v: row_stats_direct(PHI0, v), "depth", 0, ValueError, id="row_stats_direct"
+    ),
+    pytest.param(factorize, "n", 1, ValueError, id="factorize"),
+    pytest.param(divisors, "n", 1, ValueError, id="divisors"),
+    pytest.param(tau, "n", 1, ValueError, id="tau"),
+    pytest.param(lambda v: make_pair(v, 1, PHI0), "first component", 1, BadPair, id="pair_m"),
+    pytest.param(lambda v: make_pair(1, v, PHI0), "second component", 0, BadPair, id="pair_n"),
+    pytest.param(
+        lambda v: cli._cmd_seq(Namespace(poly="phi0", count=v, format="bfile")), "count", 1,
+        ValueError, id="cli_seq_count",
+    ),
+    pytest.param(
+        lambda v: cli._cmd_verify(Namespace(suite="rowsums", bound=v)), "bound", 0, ValueError,
+        id="cli_verify_bound",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, name, least, error", BOUNDED_ARGUMENTS)
+@pytest.mark.parametrize("value", [1.5, 2.0, "least - 1"])
+def test_a_bounded_argument_refuses_a_non_integer_or_a_value_below_its_least(
+    capsys, call, name, least, error, value
+):
+    value = least - 1 if value == "least - 1" else value
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == f"{name} must be an integer >= {least}, got {value!r}"
+    assert capsys.readouterr().out == ""  # refused before any output
+
+
+def test_scan_refuses_an_nmax_below_zero_in_the_one_message():
+    # argparse hands scan its text, so --nmax is an int by the time it is bounded
+    with pytest.raises(ValueError) as info:
+        cli._parse_scan_rest(["1", "--nmax", "-1"])
+    assert type(info.value) is ValueError
+    assert str(info.value) == "--nmax must be an integer >= 0, got -1"
