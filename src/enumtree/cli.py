@@ -9,15 +9,16 @@
     stats     row sums / ratio sums of a tree
     primerep  alternating prime-product representation of p at a root n
 
-Commands raise; main alone maps a failure to its code (_EXIT_BY_FAILURE).  JSON integers
-above 2^53 - 1 are decimal strings.  Output goes out about 16 KB per write, sized from the
-write's first part, one part read ahead (_write_joined).  tree --format text, seq, stats
-and verify rowsums stream SSeqKernel._rows in bounded blocks, which verify recursions
-checks against the moves; only tree --format json walks maps.tree_rows.  The node budget
-is 2^21 unless --max-nodes, or else ENUMTREE_MAX_NODES, sets it for tree or stats;
-maps.check_tree_size checks each depth once, before any work, so a negative or oversized
-depth exits 2 with empty stdout.  Each verify suite yields a count per batch of checks and
-a line per failure; _cmd_verify alone tallies them.
+Commands raise and touch no stdout: each returns its exit code and its output as parts,
+and main alone writes them (_write, about 16 KB a write, so a refusal before the first
+write leaves stdout empty) and maps a failure to its code (_EXIT_BY_FAILURE).  JSON
+integers above 2^53 - 1 are decimal strings.  tree --format text, seq, stats and verify
+rowsums stream SSeqKernel._rows in bounded blocks, which verify recursions checks against
+the moves; only tree --format json walks maps.tree_rows.  The node budget is 2^21 unless
+--max-nodes, or else ENUMTREE_MAX_NODES, sets it for tree or stats; maps.check_tree_size
+checks each depth once, before any work, so a negative or oversized depth exits 2 with
+empty stdout.  Each verify suite yields a count per batch of checks and a line per
+failure; _cmd_verify alone tallies them.
 """
 
 import argparse
@@ -75,19 +76,20 @@ def _json_int(v: int) -> str:
 
 
 def _json_lines(rows):
-    """JSON lines of a tree's nodes from its rows of (m, n) pairs (nonnegative): row r holds
-    the nodes 2**r, 2**r + 1, ... until its pairs run out.  With c = min(r, _WORD_TABLE_DEPTH),
-    node j * 2**c + i has the word word(2**c + i) + word(j).  Rows 0 .. _WORD_TABLE_DEPTH - 1
-    make a word per line read; row _WORD_TABLE_DEPTH makes its 2**c words at once, the table
-    that every deeper row shares, where each block of 2**c lines makes one string that ends
-    them.  A row's indices are all past 2^53 - 1 or none; m and n are checked per line."""
+    """JSON lines, each ending in its newline, of a tree's nodes from its rows of (m, n)
+    pairs (nonnegative): row r holds the nodes 2**r, 2**r + 1, ... until its pairs run out.
+    With c = min(r, _WORD_TABLE_DEPTH), node j * 2**c + i has the word word(2**c + i) +
+    word(j).  Rows 0 .. _WORD_TABLE_DEPTH - 1 make a word per line read; row
+    _WORD_TABLE_DEPTH makes its 2**c words at once, the table that every deeper row shares,
+    where each block of 2**c lines makes one string that ends them.  A row's indices are all
+    past 2^53 - 1 or none; m and n are checked per line."""
     for r, pairs in enumerate(rows):
         c, pairs = min(r, _WORD_TABLE_DEPTH), iter(pairs)
         tails = map(index_to_word, range(1 << r, 2 << r)) if r == c else tails  # deeper: the table
         tails = [*tails] if r == _WORD_TABLE_DEPTH else tails  # made at once and kept
         big = 1 << r > _SAFE_INT  # every index of the row is at least 2**r
         for j, first in zip(range(1 << (r - c), 2 << (r - c)), pairs):  # blocks reached
-            end = f'{index_to_word(j) if r > c else ""}","row":{r}}}'
+            end = f'{index_to_word(j) if r > c else ""}","row":{r}}}\n'
             block = chain((first,), islice(pairs, (1 << c) - 1))
             for index, (m, n), tail in zip(count(j << c), block, tails):
                 if big or m > _SAFE_INT or n > _SAFE_INT:
@@ -95,27 +97,24 @@ def _json_lines(rows):
                 yield f'{{"index":{index},"m":{m},"n":{n},"word":"{tail}{end}'
 
 
-def _write_joined(parts, sep: str = "\n") -> None:
-    """Write parts to stdout, sep between them and a newline after the last; a write
-    holds 1 + _WRITE_BYTES // (len(first) + len(sep)) parts, first the part it starts with."""
+def _write(parts) -> None:
+    """Write the nonempty parts to stdout as they are, 1 + _WRITE_BYTES // len(first) to a
+    write, first the part it starts with: a refusal while the first write forms writes nothing."""
     write, parts = sys.stdout.write, iter(parts)
-    following = next(parts, None)  # the one part read ahead, to choose the last separator
-    while following is not None:
-        chunk = [following, *islice(parts, _WRITE_BYTES // (len(following) + len(sep)))]
-        following = next(parts, None)
-        chunk[-1] += "\n" if following is None else sep
-        write(sep.join(chunk))
+    for first in parts:
+        write("".join([first, *islice(parts, _WRITE_BYTES // len(first))]))
 
 
 def _chain_text(pairs):
-    """str(p) per chain pair; adjacent pairs share m or n, so each integer is converted once."""
+    """' (m, n)', its space first, per chain pair; adjacent pairs share m or n, so each
+    integer is converted once."""
     m = n = ms = ns = None
     for p in pairs:
         if p.m != m:
             m, ms = p.m, str(p.m)
         if p.n != n:
             n, ns = p.n, str(p.n)
-        yield f"({ms}, {ns})"
+        yield f" ({ms}, {ns})"
 
 
 def _resolve_budget(args) -> int:
@@ -133,72 +132,66 @@ def _resolve_budget(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# commands
+# commands: each returns its exit code and its output, an iterable of nonempty
+# parts, each ending in its own separator or newline, for main to write
 # ----------------------------------------------------------------------
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args) -> tuple:
     f, depth, budget = POLY_BY_NAME[args.poly], args.depth, _resolve_budget(args)
-    if args.format == "text":
-        check_tree_size(depth, budget)
-        for row_idx, row in enumerate(kernel_for(f)._rows(depth, True)):
-            cells = (f"({m}, {n})" for m, n in row)  # the indent rides on the first
-            _write_joined(chain(["  " * row_idx + next(cells)], cells), "  ")
-    else:  # the moves give the pairs; _json_lines gives their words, from its table
-        _write_joined(_json_lines(((p.m, p.n) for p in row) for row in tree_rows(f, depth, budget)))
-    return EXIT_OK
+    if args.format == "json":  # the moves give the pairs; _json_lines gives their words
+        rows = tree_rows(f, depth, budget)
+        return EXIT_OK, _json_lines(((p.m, p.n) for p in row) for row in rows)
+    check_tree_size(depth, budget)
+    rows = ((f"  ({m}, {n})" for m, n in row) for row in kernel_for(f)._rows(depth, True))
+    # the indent takes the place of the first cell's separator
+    lines = (chain(["  " * r + next(cells)[2:]], cells, ["\n"]) for r, cells in enumerate(rows))
+    return EXIT_OK, chain.from_iterable(lines)
 
 
-def _cmd_seq(args) -> int:
+def _cmd_seq(args) -> tuple:
     f, count = POLY_BY_NAME[args.poly], args.count
     at_least("count", count, 1)
     rows = kernel_for(f)._rows(count.bit_length() - 1, args.format == "json")
     if args.format == "bfile":
-        lines = (f"{k} {v}" for k, v in enumerate(chain.from_iterable(rows), 1))
+        lines = (f"{k} {v}\n" for k, v in enumerate(chain.from_iterable(rows), 1))
     else:
         lines = _json_lines(rows)
-    _write_joined(islice(lines, count))
-    return EXIT_OK
+    return EXIT_OK, islice(lines, count)
 
 
-def _cmd_inverse(args) -> int:
+def _cmd_inverse(args) -> tuple:
     f = POLY_BY_NAME[args.poly]
     trace = f_hat_inverse(f, make_pair(args.m, args.n, f))
     texts = _chain_text(trace.pairs)
     first = next(texts)  # the pair line's and the chain's, converted once
-    print(f"pair: {first}")
-    print(f"word: {trace.word or '(empty)'}")
-    print(f"matrix: {word_to_matrix(trace.word)}")
-    print(f"index: {trace.index}")
-    _write_joined(chain([f"chain: {first}"], texts), " ")
-    return EXIT_OK
+    head = (
+        f"pair:{first}\nword: {trace.word or '(empty)'}\nmatrix: {word_to_matrix(trace.word)}\n"
+        f"index: {trace.index}\nchain:{first}"
+    )
+    return EXIT_OK, chain([head], texts, ["\n"])
 
 
-def _cmd_fiber(args) -> int:
+def _cmd_fiber(args) -> tuple:
     f = POLY_BY_NAME[args.poly]
     kernel = kernel_for(f)
     fiber = kernel.fiber(args.n)
-    indices = sorted(fiber)
-    value = abs(f.poly(args.n))
-    print(f"n: {args.n}")
-    print(f"|f(n)|: {value}")
-    print(f"tau: {len(indices)}")
-    _write_joined(chain([f"indices: {indices[0]}"], map(str, indices[1:])), " ")
+    head = f"n: {args.n}\n|f(n)|: {abs(f.poly(args.n))}\ntau: {len(fiber)}\nindices:"
+    tail = "\n"
     if args.n >= 1:
         verdict = "prime" if kernel.is_f_prime_via_fiber(args.n, fiber) else "composite"
-        print(f"verdict: {verdict}")
-    return EXIT_OK
+        tail += f"verdict: {verdict}\n"
+    return EXIT_OK, chain([head], (f" {k}" for k in sorted(fiber)), [tail])
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple:
     coeffs, n_max = _parse_scan_rest(args.rest)
     f = poly(*coeffs)
-    certs = classify.scan_violations(f, n_max)
-    if not certs:
-        print(f"no violations up to n_max = {n_max} for f = {f}")
-    for cert in certs:
-        print(f"{cert.side} violation at ({cert.m}, {cert.n}): {cert.detail}  [f = {cert.f}]")
-    return EXIT_OK
+    lines = [
+        f"{c.side} violation at ({c.m}, {c.n}): {c.detail}  [f = {c.f}]\n"
+        for c in classify.scan_violations(f, n_max)
+    ]
+    return EXIT_OK, lines or [f"no violations up to n_max = {n_max} for f = {f}\n"]
 
 
 def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
@@ -229,34 +222,34 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
     return coeffs, n_max
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> tuple:
     check_tree_size(args.kmax, _resolve_budget(args), "kmax")
-    for k, row in enumerate(kernel_for(POLY_BY_NAME[args.poly])._rows(args.kmax, True)):
-        st = analytics.row_stats(k, row)
-        if args.format == "json":
-            print(
-                f'{{"k":{st.k},"m_sum":{_json_int(st.m_sum)},'
-                f'"n_sum":{_json_int(st.n_sum)},"ratio_sum":"{st.ratio_sum}"}}'
-            )
-        else:
-            print(f"k={st.k} M={st.m_sum} N={st.n_sum} R={st.ratio_sum}")
-    return EXIT_OK
+    rows = kernel_for(POLY_BY_NAME[args.poly])._rows(args.kmax, True)
+    stats = map(analytics.row_stats, count(), rows)
+    if args.format == "text":
+        return EXIT_OK, (f"k={st.k} M={st.m_sum} N={st.n_sum} R={st.ratio_sum}\n" for st in stats)
+    return EXIT_OK, (
+        f'{{"k":{st.k},"m_sum":{_json_int(st.m_sum)},'
+        f'"n_sum":{_json_int(st.n_sum)},"ratio_sum":"{st.ratio_sum}"}}\n'
+        for st in stats
+    )
 
 
-def _cmd_primerep(args) -> int:
+def _cmd_primerep(args) -> tuple:
     rep = analytics.prime_representation(POLY_BY_NAME[args.poly], args.p, args.n)
     num, den = [], []
     for v, e in rep.factors():  # e is +1 or -1
         (num if e > 0 else den).append(v)
-    print(f"p: {rep.p}")
-    print("n-values: " + " ".join(str(n) for n in rep.n_values))
     expr = " * ".join(f"|f({n})|^{e:+d}" for n, e in zip(rep.n_values, rep.exponents))
-    print(f"form: p = {expr}")
     shown = " * ".join(str(v) for v in num)
     if den:
         shown += " / (" + " * ".join(str(v) for v in den) + ")"
-    print(f"value: {rep.p} = {shown}")
-    return EXIT_OK
+    return EXIT_OK, [
+        f"p: {rep.p}\n",
+        "n-values: " + " ".join(str(n) for n in rep.n_values) + "\n",
+        f"form: p = {expr}\n",
+        f"value: {rep.p} = {shown}\n",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +389,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     import json
     runner, default_bound = _SUITES[args.suite]
     bound = args.bound if args.bound is not None else default_bound
@@ -413,8 +406,8 @@ def _cmd_verify(args) -> int:
         "checked": checked,
         "failures": failures,
     }
-    print(json.dumps(summary, separators=(",", ":")))
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
+    code = EXIT_VERIFY_FAILED if failures else EXIT_OK
+    return code, [json.dumps(summary, separators=(",", ":")) + "\n"]
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +481,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, parts = args.func(args)
+        _write(parts)
+        return code
     except tuple(t for types, _ in _EXIT_BY_FAILURE for t in types) as exc:
         code = next(code for types, code in _EXIT_BY_FAILURE if isinstance(exc, types))
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

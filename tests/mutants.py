@@ -1,9 +1,9 @@
 """Mutation probe: do the tests notice a one-token change to the package?
 
-Each mutant changes one token of one module of src/enumtree (all but _record
-and __init__): it swaps an operator for its partner (+ and -, * and //, << and
->>, < and <=, > and >=, == and !=, and the augmented +=, *=, <<= likewise) or
-adds 1 to an integer literal.  The sites are drawn with a fixed seed, or, with
+Each mutant changes one token of one module of src/enumtree (all but
+__init__): it swaps an operator for its partner (+ and -, * and //, << and >>,
+< and <=, > and >=, == and !=, and the augmented +=, *=, <<= likewise) or adds
+1 to an integer literal.  The sites are drawn with a fixed seed, or, with
 --since REV, every site on a line that `git diff -U0 REV -- src/` marks as
 added or changed is run.  Each mutant is written into a fresh temporary copy of
 the repository, and the tier-1 suite runs there with -x, one mutant at a time,
@@ -44,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))  # ahead of tests/, whose conftest.py holds no deadline
 from conftest import TEST_DEADLINE_S  # noqa: E402
 
-SKIPPED_MODULES = {"_record.py", "__init__.py"}
+SKIPPED_MODULES = {"__init__.py"}
 PARTNER = {"+": "-", "*": "//", "<<": ">>", "<": "<=", ">": ">=", "==": "!=",
            "+=": "-=", "*=": "//=", "<<=": ">>="}
 PARTNER.update({new: old for old, new in list(PARTNER.items())})

@@ -257,15 +257,18 @@ _STR_LIMIT_ERROR = (
 )
 
 
-@pytest.mark.parametrize("argv, expected", [
-    # two of the four indices have more than 4,300 digits: their line writes nothing
-    ("fiber phi0 15000", "n: 15000\n|f(n)|: 225000001\ntau: 4\n"),
-    # the index of S^20000 has more than 4,300 digits: no index or chain line
-    ("inverse phi0 1 20000",
-     "pair: (1, 20000)\nword: " + "S" * 20000 + "\nmatrix: [[1, 0], [20000, 1]]\n"),
-], ids=["fiber", "inverse"])
-def test_an_output_past_the_int_to_str_limit_exits_2(capsys, argv, expected):
-    assert run(capsys, *argv.split()) == (2, expected, _STR_LIMIT_ERROR)
+@pytest.mark.parametrize("argv", [
+    # the largest index of the fiber has more than 4,300 digits from n = 14,284 on
+    "fiber phi0 15000",
+    "fiber phi0 20000",
+    # the index of S^20000 has more than 4,300 digits
+    "inverse phi0 1 20000",
+    # a row sum of row 13 has more than 4,300 digits; rows 0 .. 12 are 12 KB of text
+    "stats phi1 --kmax 13",
+], ids=["fiber", "fiber-20000", "inverse", "stats"])
+def test_an_output_past_the_int_to_str_limit_exits_2(capsys, argv):
+    # the refusal comes while the first write forms, so no part of the answer is written
+    assert run(capsys, *argv.split()) == (2, "", _STR_LIMIT_ERROR)
 
 
 def test_fiber_reports(capsys):
@@ -523,7 +526,7 @@ def test_every_argv_gets_a_documented_exit_code(argv):
         code = main(argv)  # an escaping exception fails the test
     assert code in {0, 1, 2, 3, 4, 5}
     assert code != 1 or argv[0] == "verify"
-    if code in (3, 4):
+    if code in (2, 3, 4, 5):
         assert out.getvalue() == ""
 
 
@@ -728,7 +731,7 @@ def test_json_lines_match_the_per_node_oracle(row, count):
     rng = random.Random(row * count)
     pairs = [(rng.choice([1, 2**53 - 1, 2**53, 7**30]), rng.randrange(2**54)) for _ in range(count)]
     lines = list(cli._json_lines([[]] * row + [pairs]))  # rows 0 .. row - 1 empty
-    assert lines == [_json_line_oracle(k, m, n) for k, (m, n) in enumerate(pairs, 1 << row)]
+    assert lines == [_json_line_oracle(k, m, n) + "\n" for k, (m, n) in enumerate(pairs, 1 << row)]
 
 
 @pytest.mark.parametrize("row", [3, 11])
@@ -952,7 +955,7 @@ def test_inverse_output_memory_is_bounded(monkeypatch):
 
 def test_each_output_chunk_is_one_write(monkeypatch):
     # 16,383 JSON lines, each write sized from its first line: 1 + 16384 // (len + 1)
-    # lines, 278 from the 58-byte root on; the separators ride in the chunks
+    # lines, 278 from the 58-byte root on; each line carries its newline
     sink = _HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["tree", "phi0", "--depth", "13"]) == 0
@@ -966,7 +969,7 @@ def _part_sizes(total, width):
     return [round(width ** rng.random()) for _ in range(total)]
 
 
-# ids total-width: total parts of log-uniform sizes 1..width
+# ids total-width: total parts of log-uniform sizes 1..width, each part followed by its sep
 @pytest.mark.parametrize("sizes, sep", [
     pytest.param(_part_sizes(1, 4096), " ", id="1-4096"),
     pytest.param(_part_sizes(4096, 4096), "\n", id="4096-4096"),
@@ -976,18 +979,21 @@ def _part_sizes(total, width):
     pytest.param([], "\n", id="none"),
     # 1 + 16384 // 4 = 4,097 parts per write
     pytest.param([3] * 10_000, "\n", id="even"),
-    # first + sep is 16,384 bytes: two parts; 16,383 bytes: one part alone
+    # a first part of 16,384 or 16,383 bytes: two parts; of 16,385 bytes: one part alone
     pytest.param([16_383, 1, 1, 1], " ", id="at-budget"),
     pytest.param([16_382, 1, 1, 1], " ", id="under-budget"),
-    # a part past the budget alone; then 4,097 parts from a 2-byte part on, the rest
+    pytest.param([16_384, 1, 1, 1], " ", id="over-budget"),
+    # a part past the budget alone; then 4,097 parts from a 4-byte part on, the rest
     pytest.param([40_000, 2, 40_000, 2, 2], "  ", id="huge"),
     # shrinking, as the inverse chain does
     pytest.param(sorted(_part_sizes(2_000, 5_000), reverse=True), " ", id="chain"),
 ])
-def test_writer_reads_one_part_ahead(monkeypatch, sizes, sep):
-    # each write holds 1 + 16384 // (len(first) + len(sep)) parts, and at each write
-    # exactly one part has been pulled beyond those written (none after the last)
-    parts = [chr(97 + i % 26) * size for i, size in enumerate(sizes)]
+def test_writer_joins_parts_as_given_sized_from_the_first_without_reading_ahead(
+    monkeypatch, sizes, sep
+):
+    # each write holds 1 + 16384 // len(first) parts, joined as given, and at each write
+    # every part pulled has been written
+    parts = [chr(97 + i % 26) * size + sep for i, size in enumerate(sizes)]
     pulled, writes = [], []
 
     def pull():
@@ -1000,15 +1006,14 @@ def test_writer_reads_one_part_ahead(monkeypatch, sizes, sep):
             writes.append((text, len(pulled)))
 
     monkeypatch.setattr(sys, "stdout", Sink())
-    cli._write_joined(pull(), sep)
+    cli._write(pull())
     expected, written = [], 0
     while written < len(parts):
-        chunk = parts[written : written + 1 + 16384 // (len(parts[written]) + len(sep))]
+        chunk = parts[written : written + 1 + 16384 // len(parts[written])]
         written += len(chunk)
-        last = written == len(parts)
-        expected.append((sep.join(chunk) + ("\n" if last else sep), written + (not last)))
+        expected.append(("".join(chunk), written))
     assert writes == expected
-    assert "".join(text for text, _ in writes) == (sep.join(parts) + "\n" if parts else "")
+    assert "".join(text for text, _ in writes) == "".join(parts)
 
 
 # stdout SHA-256 of `seq <poly> --count 200000`, recorded from the CLI that
@@ -1283,6 +1288,24 @@ def test_only_main_maps_failures_to_exit_codes():
     ]
     assert len(commands) == 8
     assert [c.name for c in commands if any(isinstance(n, ast.Try) for n in ast.walk(c))] == []
+
+
+def test_only_write_touches_stdout():
+    # commands return their parts; _write, called by main alone, is the one stdout writer,
+    # and every print goes to stderr
+    tree = ast.parse((Path(enumtree.__file__).parent / "cli.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for function in functions:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                assert [ast.unparse(k) for k in node.keywords] == ["file=sys.stderr"], function.name
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout.write":
+                assert function.name == "_write"
+    callers = [
+        function.name for function in functions for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write"
+    ]
+    assert callers == ["main"]
 
 
 def test_verify_suites_yield_to_the_one_tally_of_cmd_verify():

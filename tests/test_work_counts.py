@@ -112,7 +112,7 @@ def test_a_command_makes_one_word_table(monkeypatch, capsys, argv, lines, words)
     ("seq phi0 --count 100000 --format bfile", 73), ("tree psi2 --depth 12", 31),
 ])
 def test_a_streamed_output_makes_one_write_per_chunk(monkeypatch, capsys, argv, writes):
-    # _write_joined: a write holds 1 + _WRITE_BYTES // (len(first) + 1) lines, first the
+    # _write: a write holds 1 + _WRITE_BYTES // (len(first) + 1) lines, first the
     # line it starts with, and the last write whatever is left; no line spans two writes
     texts = []
     monkeypatch.setattr(sys.stdout, "write", texts.append)
