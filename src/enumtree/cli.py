@@ -14,11 +14,11 @@ and main alone writes them (_write, about 16 KB a write, so a refusal before the
 write leaves stdout empty) and maps a failure to its code (_EXIT_BY_FAILURE).  JSON
 integers above 2^53 - 1 are decimal strings.  tree --format text, seq, stats and verify
 rowsums stream SSeqKernel._rows in bounded blocks, which verify recursions checks against
-the moves; only tree --format json walks maps.tree_rows.  The node budget is 2^21 unless
---max-nodes, or else ENUMTREE_MAX_NODES, sets it for tree or stats; maps.check_tree_size
-checks each depth once, before any work, so a negative or oversized depth exits 2 with
-empty stdout.  Each verify suite yields a count per batch of checks and a line per
-failure; _cmd_verify alone tallies them.
+the moves; only tree --format json walks maps.tree_rows.  The node budget of tree and stats
+is --max-nodes, whose default is ENUMTREE_MAX_NODES or else 2^21; maps.check_tree_size
+checks it and each depth once, before any work, so a negative budget or depth, or a depth
+past the budget, exits 2 with empty stdout.  Each verify suite yields a count per batch
+of checks and a line per failure; _cmd_verify alone tallies them.
 """
 
 import argparse
@@ -117,20 +117,6 @@ def _chain_text(pairs):
         yield f" ({ms}, {ns})"
 
 
-def _resolve_budget(args) -> int:
-    name, raw = "--max-nodes", args.max_nodes
-    if raw is None:
-        name = "ENUMTREE_MAX_NODES"
-        raw = os.environ.get(name, DEFAULT_NODE_BUDGET)
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return value
-
-
 # ----------------------------------------------------------------------
 # commands: each returns its exit code and its output, an iterable of nonempty
 # parts, each ending in its own separator or newline, for main to write
@@ -138,7 +124,7 @@ def _resolve_budget(args) -> int:
 
 
 def _cmd_tree(args) -> tuple:
-    f, depth, budget = POLY_BY_NAME[args.poly], args.depth, _resolve_budget(args)
+    f, depth, budget = POLY_BY_NAME[args.poly], args.depth, args.max_nodes
     if args.format == "json":  # the moves give the pairs; _json_lines gives their words
         rows = tree_rows(f, depth, budget)
         return EXIT_OK, _json_lines(((p.m, p.n) for p in row) for row in rows)
@@ -223,7 +209,7 @@ def _parse_scan_rest(rest: list[str]) -> tuple[list[int], int]:
 
 
 def _cmd_stats(args) -> tuple:
-    check_tree_size(args.kmax, _resolve_budget(args), "kmax")
+    check_tree_size(args.kmax, args.max_nodes, "kmax")
     rows = kernel_for(POLY_BY_NAME[args.poly])._rows(args.kmax, True)
     stats = map(analytics.row_stats, count(), rows)
     if args.format == "text":
@@ -423,11 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     named = argparse.ArgumentParser(add_help=False)  # the tree a command reads
     named.add_argument("poly", choices=POLY_BY_NAME)
+    # argparse parses a string default with the type, when the flag is absent
+    budget = os.environ.get("ENUMTREE_MAX_NODES", DEFAULT_NODE_BUDGET)
 
     p_tree = sub.add_parser("tree", parents=[named], help="emit a divisor-pair tree breadth first")
     p_tree.add_argument("--depth", type=int, required=True)
     p_tree.add_argument("--format", choices=("json", "text"), default="json")
-    p_tree.add_argument("--max-nodes", type=int, default=None)
+    p_tree.add_argument("--max-nodes", type=int, default=budget)
     p_tree.set_defaults(func=_cmd_tree)
 
     p_seq = sub.add_parser("seq", parents=[named], help="emit a second-component sequence")
@@ -461,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", parents=[named], help="row sums of a tree")
     p_stats.add_argument("--kmax", type=int, required=True)
     p_stats.add_argument("--format", choices=("text", "json"), default="text")
-    p_stats.add_argument("--max-nodes", type=int, default=None)
+    p_stats.add_argument("--max-nodes", type=int, default=budget)
     p_stats.set_defaults(func=_cmd_stats)
 
     p_rep = sub.add_parser(

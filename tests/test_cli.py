@@ -12,6 +12,7 @@ import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -126,21 +127,48 @@ def test_the_budget_override_reaches_tree_and_stats_only(capsys, monkeypatch):
     )
 
 
+# check_tree_size is the budget's one check, for the flag and the variable alike: 0 refuses
+# every walk, and a negative budget is refused by name
+_BUDGET_REFUSAL = {
+    ("tree", "0"): "error: depth 2 needs 7 nodes, budget is 0\n",
+    ("stats", "0"): "error: kmax 5 needs 63 nodes, budget is 0\n",
+    ("tree", "-5"): "error: max_nodes must be an integer >= 0, got -5\n",
+    ("stats", "-5"): "error: max_nodes must be an integer >= 0, got -5\n",
+}
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("argv", [["tree", "phi0", "--depth", "2"], ["stats", "phi0", "--kmax", "5"]])
 def test_nonpositive_max_nodes_is_usage_error(capsys, argv, value):
     code, out, err = run(capsys, *argv, "--max-nodes", value)
     assert (code, out) == (2, "")
-    assert err == f"error: --max-nodes must be a positive integer, got {value}\n"
+    assert err == _BUDGET_REFUSAL[argv[0], value]
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
 @pytest.mark.parametrize("argv", [["tree", "phi0", "--depth", "2"], ["stats", "phi0", "--kmax", "5"]])
 def test_bad_budget_env_var_is_usage_error(capsys, monkeypatch, argv, value):
+    # the variable is the default of --max-nodes, so argparse parses it as the flag
+    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setenv("ENUMTREE_MAX_NODES", value)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: ENUMTREE_MAX_NODES must be a positive integer, got {value!r}\n"
+    usage = {"tree": _TREE_USAGE, "stats": _STATS_USAGE}[argv[0]]
+    assert err == _BUDGET_REFUSAL.get(
+        (argv[0], value),
+        f"{usage}enumtree {argv[0]}: error: argument --max-nodes: invalid int value: {value!r}\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["tree", "stats"])
+def test_the_budget_variable_is_the_default_of_max_nodes(monkeypatch, command):
+    argv = [command, "phi0", "--depth" if command == "tree" else "--kmax", "2"]
+    monkeypatch.delenv("ENUMTREE_MAX_NODES", raising=False)
+    assert cli.build_parser().parse_args(argv).max_nodes == maps.DEFAULT_NODE_BUDGET
+    monkeypatch.setenv("ENUMTREE_MAX_NODES", "100")
+    assert cli.build_parser().parse_args(argv).max_nodes == 100
+    monkeypatch.setenv("ENUMTREE_MAX_NODES", "abc")  # the flag wins: the default goes unparsed
+    assert cli.build_parser().parse_args([*argv, "--max-nodes", "7"]).max_nodes == 7
 
 
 def test_help_exits_0(capsys):
@@ -170,6 +198,11 @@ _TREE_USAGE = """\
 usage: enumtree tree [-h] --depth DEPTH [--format {json,text}]
                      [--max-nodes MAX_NODES]
                      {phi0,phi1,psi2,phi3}
+"""
+_STATS_USAGE = """\
+usage: enumtree stats [-h] --kmax KMAX [--format {text,json}]
+                      [--max-nodes MAX_NODES]
+                      {phi0,phi1,psi2,phi3}
 """
 _CHOOSE_A_POLY = "(choose from 'phi0', 'phi1', 'psi2', 'phi3')"
 
@@ -518,11 +551,21 @@ def _cli_argv(draw):
     return [command, *rest]
 
 
+# ENUMTREE_MAX_NODES: unset (None), refused by argparse, refused by check_tree_size, or small
+_BUDGET_ENV = st.one_of(
+    st.sampled_from([None, "", "abc", "0", "-2"]), st.integers(1, 200).map(str)
+)
+
+
 @settings(derandomize=True, max_examples=300)
-@given(_cli_argv())
-def test_every_argv_gets_a_documented_exit_code(argv):
+@given(_cli_argv(), _BUDGET_ENV)
+def test_every_argv_gets_a_documented_exit_code(argv, budget):
+    # hypothesis refuses a function-scoped monkeypatch, so patch.dict sets the variable
+    env = {} if budget is None else {"ENUMTREE_MAX_NODES": budget}
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        if budget is None:
+            os.environ.pop("ENUMTREE_MAX_NODES", None)
         code = main(argv)  # an escaping exception fails the test
     assert code in {0, 1, 2, 3, 4, 5}
     assert code != 1 or argv[0] == "verify"
@@ -1306,6 +1349,19 @@ def test_only_write_touches_stdout():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write"
     ]
     assert callers == ["main"]
+
+
+def test_only_build_parser_reads_the_environment():
+    # ENUMTREE_MAX_NODES enters as the default of --max-nodes, read once when the parser is built
+    def environ(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and ast.unparse(n) == "os.environ"
+        ]
+
+    tree = ast.parse((Path(enumtree.__file__).parent / "cli.py").read_text())
+    parser = next(node for node in tree.body if getattr(node, "name", None) == "build_parser")
+    assert len(environ(tree)) == len(environ(parser)) == 1
 
 
 def test_verify_suites_yield_to_the_one_tally_of_cmd_verify():
