@@ -22,7 +22,7 @@ n0 = |f(-a)| - a gives f(n0) = (n0 + a)(n0 + b) with both factors above n0.
 
 from ._record import Record
 from .arith import divisors
-from .pairs import BadPair, Poly, PolyLike, as_poly, poly
+from .pairs import Poly, PolyLike, as_poly, make_pair, poly
 
 __all__ = [
     "LEFT",
@@ -63,8 +63,7 @@ def check_condition(f: PolyLike, m: int, n: int) -> ViolationCertificate | None:
     value = f(n)
     if value == 0:
         raise PolynomialVanishes(f, n)
-    if m < 1 or n < 0 or abs(value) % m != 0:
-        raise BadPair(f"({m}, {n}) is not a divisor pair of f = {f}")
+    make_pair(m, n, f)
     if (m, n) == (1, 0):
         raise ValueError("the root pair (1, 0) is excluded from the condition")
     return _violation(f, m, n, abs(value) // m)

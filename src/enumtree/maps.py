@@ -15,8 +15,8 @@ The inverse direction peels a pair back to (1, 0): repeat
 
     (m, n)  ->  c_bar( s_bar^(-floor(n/m)) (m, n) )
 
-recording the exponents.  Undone, with c_bar s_bar c_bar merged into t_bar, they
-give the tree index, one shift per block; the index gives the word, hence the matrix.
+recording the exponents.  With c_bar s_bar c_bar merged into t_bar they are the word's
+S and T blocks, read into the tree index as they are peeled; the index gives the word.
 The loop additionally checks, at every visited pair, the reachability
 inequality min(m, |f(n)|/m) <= n < max(m, |f(n)|/m), written once in
 classify (_violation); on a violation it aborts with a diagnostic instead of
@@ -126,13 +126,17 @@ class InverseTrace(Record):
     __slots__ = ("exponents", "pairs", "word", "index")
 
 
-def _peel(f: EnumerablePoly, m: int, n: int, q: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Peel (m, n), a pair of the tree of f, down to (1, 0): its exponents and the chain
-    of distinct pairs visited, from (m, n) to (1, 0).  The signed cofactor q = f(n) / m
-    is given and carried from here on."""
+def _peel(
+    f: EnumerablePoly, m: int, n: int, q: int
+) -> tuple[list[int], list[tuple[int, int]], int]:
+    """Peel (m, n), a pair of the tree of f, down to (1, 0), given the signed cofactor
+    q = f(n) / m: the exponents, the chain of distinct pairs visited from (m, n) to (1, 0),
+    and the tree index k.  Exponent i is a block of S (i even) or T (i odd) letters, a bit
+    0 or 1 each in k, first block lowest; the root closes k with a 1 above them."""
     b = f.beta
     exponents: list[int] = []
     chain = [(m, n)]
+    k = pos = 0  # the index bits read so far, and their count
     # n never grows, and a pass with a = 0 sets m = |q| <= n (the check), so the next lowers n
     while n or m != 1:
         cert = _violation(f.poly, m, n, abs(q))
@@ -143,7 +147,10 @@ def _peel(f: EnumerablePoly, m: int, n: int, q: int) -> tuple[list[int], list[tu
                 f" ({side} side); it cannot be reduced to the root"
             )
         a = n // m
+        if len(exponents) % 2:  # a T block: bits pos .. pos + a - 1 are set
+            k |= ((1 << a) - 1) << pos
         exponents.append(a)
+        pos += a
         if a:
             q = _shifted_cofactor(q, n, b, -a, m)
             n -= a * m
@@ -151,20 +158,7 @@ def _peel(f: EnumerablePoly, m: int, n: int, q: int) -> tuple[list[int], list[tu
         m, q = abs(q), (m if q > 0 else -m)  # c_bar: f(n) = m * q
         if (m, n) != chain[-1]:
             chain.append((m, n))
-    return exponents, chain
-
-
-def _index_from_exponents(exponents: list[int]) -> int:
-    # Heap index of the word S^e0 T^e1 S^e2 ...: blocks read last first, one shift each
-    # (O(bits of k); cheaper than a string of the word up to about 1,000 blocks).
-    k = 1
-    for i in range(len(exponents) - 1, -1, -1):
-        a = exponents[i]
-        if i % 2 == 0:
-            k <<= a
-        else:
-            k = ((k + 1) << a) - 1
-    return k
+    return exponents, chain, k | 1 << pos
 
 
 def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
@@ -172,8 +166,7 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
     the full reduction chain."""
     if p.poly != f.poly:
         raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
-    exponents, chain = _peel(f, p.m, p.n, f.poly(p.n) // p.m)
-    index = _index_from_exponents(exponents)
+    exponents, chain, index = _peel(f, p.m, p.n, f.poly(p.n) // p.m)
     # The chain pairs are p moved by s_bar_inv and c_bar: no check needed.
     return InverseTrace(
         exponents=tuple(exponents),

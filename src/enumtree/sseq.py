@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 from . import maps
 from ._record import Record, at_least
 from .arith import divisors
-from .maps import DEFAULT_NODE_BUDGET, _index_from_exponents, _peel, check_tree_size
+from .maps import DEFAULT_NODE_BUDGET, _peel, check_tree_size
 from .monoid import mirror_index
 from .pairs import PHI0, DivisorPair, EnumerablePoly, make_pair
 
@@ -168,7 +168,7 @@ class SSeqKernel(Record):
         divs = divisors(abs(value))
         out = set()
         for m in divs[: (len(divs) + 1) // 2]:  # the min sides, m * m <= |f(n)|
-            k = _index_from_exponents(_peel(f, m, n, value // m)[0])
+            k = _peel(f, m, n, value // m)[2]
             out |= {k, mirror_index(k)}
         return out
 

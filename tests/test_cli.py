@@ -284,6 +284,15 @@ def test_word_too_long_to_allocate_exits_5(capsys, name, m):
     assert (code, out, err) == (5, "", "error: MemoryError\n")
 
 
+@pytest.mark.parametrize("n, error", [
+    ("12345678901234567", "MemoryError"),  # the index of (1, n) has n + 1 bits
+    ("1000000000000000000000011", "too many digits in integer"),  # more than a shift takes
+])
+def test_fiber_index_too_long_to_allocate_exits_5(capsys, n, error):
+    code, out, err = run(capsys, "fiber", "phi0", n)
+    assert (code, out, err) == (5, "", f"error: {error}\n")
+
+
 _STR_LIMIT_ERROR = (
     "error: Exceeds the limit (4300 digits) for integer string conversion; "
     "use sys.set_int_max_str_digits() to increase the limit\n"
@@ -689,8 +698,13 @@ def test_bijectivity_suite_evaluates_f_once_per_n_besides_the_pair_checks(monkey
 def test_verify_bijectivity_catches_a_mirrored_index_map(capsys, monkeypatch):
     # mirror_index is injective, so each fiber keeps tau(|f(n)|) distinct indices;
     # only the round trip from the index back to its pair sees the wrong node
-    inner = maps._index_from_exponents
-    monkeypatch.setattr(maps, "_index_from_exponents", lambda exps: mirror_index(inner(exps)))
+    inner = maps._peel
+
+    def mirrored(*args):
+        exponents, chain, index = inner(*args)
+        return exponents, chain, mirror_index(index)
+
+    monkeypatch.setattr(maps, "_peel", mirrored)
     code, out, _ = run(capsys, "verify", "bijectivity", "--bound", "10")
     failures = json.loads(out)["failures"]
     assert code == 1 and failures

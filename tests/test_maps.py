@@ -178,9 +178,10 @@ def test_peel_returns_the_exponents_and_chain_of_the_inverse(f):
     for _ in range(50):
         word = "".join(rng.choice("ST") for _ in range(rng.randint(0, 300)))
         p = f_hat(f, word_to_matrix(word))
-        exponents, chain = _peel(f, p.m, p.n, f.poly(p.n) // p.m)
+        exponents, chain, index = _peel(f, p.m, p.n, f.poly(p.n) // p.m)
         trace = f_hat_inverse(f, p)
         assert (tuple(exponents), trace.word) == (trace.exponents, word)
+        assert index == trace.index == word_to_index(word)
         assert chain == [c.components() for c in trace.pairs]
         assert chain[-1] == (1, 0) and all(a != b for a, b in zip(chain, chain[1:]))
 

@@ -134,6 +134,9 @@ def test_pair_components_are_integers_in_range(m, n, message):
         make_pair(m, n, PHI0)
     assert str(info.value) == message
     assert not pair_in_df(PHI0, m, n)  # membership says no to what make_pair refuses
+    with pytest.raises(BadPair) as info:
+        check_condition(PHI0, m, n)
+    assert str(info.value) == message
 
 
 def test_bad_pair_is_a_public_value_error():

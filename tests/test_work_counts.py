@@ -194,12 +194,12 @@ def test_int_tree_rows_shift_two_cofactors_per_parent(monkeypatch, f, depth):
 
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
 def test_inverse_encodes_its_reduction_once(monkeypatch, f):
-    # the exponents give the index, and the index the word: no word is built from the
+    # the one peel gives the index, and the index the word: no word is built from the
     # exponents and parsed back into the index
     rng = random.Random(400 + ENUMERABLE_POLYS.index(f))
     word = "".join(rng.choice("ST") for _ in range(300))
     p, index = f_hat(f, word_to_matrix(word)), word_to_index(word)
-    encodes = _counting(monkeypatch, maps, "_index_from_exponents")
+    encodes = _counting(monkeypatch, maps, "_peel")
     parses = _counting(monkeypatch, monoid, "word_to_index")
     trace = f_hat_inverse(f, p)
     assert (trace.word, trace.index) == (word, index)
