@@ -160,13 +160,13 @@ def prime_representation(f: EnumerablePoly, p: int, n: int) -> PrimeRepresentati
 def roots_mod_p(f: EnumerablePoly, p: int) -> list[int]:
     """All n in [0, p) with f(n) == 0 mod p, via a modular square root.
 
-    f is monic quadratic, so completing the square reduces the congruence to
-    one Tonelli-Shanks call on the discriminant, which checks that p is prime.
+    f is monic quadratic, so for odd p completing the square reduces the congruence to
+    one Tonelli-Shanks call on the discriminant, which checks that p is prime; 2 is scanned.
     """
     c0, beta, _ = f.poly.coeffs
-    r = sqrt_mod(beta * beta - 4 * c0, p)
     if p == 2:
         return [n for n in (0, 1) if (n * n + beta * n + c0) % 2 == 0]
+    r = sqrt_mod(beta * beta - 4 * c0, p)
     if r is None:
         return []
     inv2 = pow(2, -1, p)

@@ -266,9 +266,9 @@ def _suite_bijectivity(bound: int):
             for m in divisors(value):
                 k = f_hat_inverse(f, make_pair(m, n, f)).index
                 indices.add(k)
-                s_k, s_2k, _ = kernel._triple(k)  # the round trip: node k is (s(2k) - s(k), s(k))
-                if (s_2k - s_k, s_k) != (m, n):
-                    yield f"{f}: index {k} of ({m}, {n}) holds ({s_2k - s_k}, {s_k})"
+                node = kernel.pair_at(k)  # the round trip from the index back to its pair
+                if node.components() != (m, n):
+                    yield f"{f}: index {k} of ({m}, {n}) holds {node}"
                 yield 1
             if len(indices) != _tau_trial(value):
                 yield f"{f}: fiber of {n} has colliding indices"

@@ -17,11 +17,10 @@ So a kernel depends on its polynomial alone: kernel_for reads it off f on each
 call, and kernels compare, hash and pickle by value like every other record.
 
 The whole pair tree is recoverable from s alone: the k-th breadth-first pair
-is (s(2k) - s(k), s(k)).  For x^2 + 1 there is additionally a 3-vector form:
-node k carries v = (s(k), s(2k), s(2k+1)), read off two consecutive kernel
-rows, and the pair is recovered from v = (a, b, c) as (b - a, a).  Its
-children are L*v and R*v for the integer matrices L_MATRIX and R_MATRIX
-below, a property the tests check.
+is (s(2k) - s(k), s(k)), which pair_at builds unchecked and verify recursions
+and verify bijectivity check.  For x^2 + 1, node k of the 3-vector tree is
+v = (s(k), s(2k), s(2k+1)), read off two kernel rows; the pair is (b - a, a) for
+v = (a, b, c), and v has children L*v and R*v (L_MATRIX, R_MATRIX), as tests check.
 
 All four branches are written once, in net_expand.  Pointwise values come
 from a digit walk: start at the seed triple (s(j), s(2j), s(2j+1)) of the
@@ -50,7 +49,7 @@ from ._record import Record, at_least
 from .arith import divisors
 from .maps import DEFAULT_NODE_BUDGET, _peel, check_tree_size
 from .monoid import mirror_index
-from .pairs import PHI0, DivisorPair, EnumerablePoly, make_pair
+from .pairs import PHI0, DivisorPair, EnumerablePoly, _moved
 
 __all__ = [
     "SSeqKernel",
@@ -152,9 +151,9 @@ class SSeqKernel(Record):
         return map(row, range(depth + 1))
 
     def pair_at(self, k: int) -> DivisorPair:
-        """The k-th breadth-first tree pair, (s(2k) - s(k), s(k))."""
+        """The k-th tree pair, built unchecked; verify recursions and bijectivity check it."""
         n, s2k, _ = self._triple(k)
-        return make_pair(s2k - n, n, self.poly)
+        return _moved(s2k - n, n, self.poly.poly)
 
     def fiber(self, n: int) -> set[int]:
         """Tree indices whose second component is n; size tau(|f(n)|).

@@ -12,7 +12,7 @@ from enumtree.analytics import (
     row_stats_recursive,
 )
 from enumtree.maps import int_tree_rows, tree_rows
-from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1
+from enumtree.pairs import ENUMERABLE_POLYS, PHI0, PHI1, EnumerablePoly, poly
 from oracles import quadratic_roots_scan, replay_n_values, row_ratio_sum, trial_is_prime
 
 
@@ -169,7 +169,9 @@ def test_roots_mod_p_examples():
 
 
 def test_roots_mod_p_against_scan():
-    for f in ENUMERABLE_POLYS:
+    # the four trees have c0 = 1 or -1; the other quadratics weigh the discriminant's c0 too
+    others = [(2, 0), (-2, 0), (1, 5), (3, 4), (5, 1), (6, 1), (13, -7)]
+    for f in [*ENUMERABLE_POLYS, *(EnumerablePoly(f"{c}", poly(*c, 1)) for c in others)]:
         c0, c1 = f.poly.coeffs[0], f.poly.coeffs[1]
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101, 113, 199):
             assert roots_mod_p(f, p) == quadratic_roots_scan(c0, c1, p), (f.name, p)

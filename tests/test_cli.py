@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumtree
-from enumtree import _record, analytics, arith, cli, maps, sseq
+from enumtree import _record, analytics, arith, cli, maps, pairs, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
 from enumtree.maps import f_hat, f_hat_inverse, tree_rows
@@ -711,6 +711,34 @@ def test_verify_bijectivity_catches_a_mirrored_index_map(capsys, monkeypatch):
     assert failures[0] == "phi0: index 3 of (1, 1) holds (2, 1)"
 
 
+def test_verify_bijectivity_reads_node_k_through_pair_at(capsys, monkeypatch):
+    # the round trip reads node k off the kernel's public reader alone
+    inner = sseq.SSeqKernel.pair_at
+
+    def shifted(self, k):
+        node = inner(self, k)
+        return pairs._moved(node.m + 1, node.n, node.poly)
+
+    monkeypatch.setattr(sseq.SSeqKernel, "pair_at", shifted)
+    code, out, _ = run(capsys, "verify", "bijectivity", "--bound", "10")
+    assert code == 1
+    assert json.loads(out)["failures"][0] == "phi0: index 2 of (1, 1) holds (2, 1)"
+
+
+def test_verify_bijectivity_reports_a_wrong_kernel_as_a_failure(capsys, monkeypatch):
+    # a kernel one off in each value gives nodes that are no pairs, such as (2, 2) at
+    # index 3 of x^2 + 1; pair_at builds them unchecked, so the suite reports them
+    # (exit 1) and does not stop at a refusal (exit 3)
+    triple = sseq.SSeqKernel._triple
+    monkeypatch.setattr(sseq.SSeqKernel, "_triple", lambda self, k: [v + 1 for v in triple(self, k)])
+    code, out, err = run(capsys, "verify", "bijectivity", "--bound", "10")
+    summary = json.loads(out)
+    assert (code, err) == (1, "")
+    assert (summary["suite"], summary["bound"], summary["checked"]) == ("bijectivity", 10, 32878)
+    assert summary["failures"][0] == "phi0: index 2 of (1, 1) holds (1, 2)"
+    assert "phi0: index 3 of (2, 1) holds (2, 2)" in summary["failures"]
+
+
 def test_verify_exits_5_with_no_summary_when_a_library_call_refuses(capsys, monkeypatch):
     # A refusal is the library giving up (exit 5, as in every command), not a failed
     # check (exit 1); the suite stops there, before its summary line.
@@ -1363,6 +1391,13 @@ def test_only_write_touches_stdout():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write"
     ]
     assert callers == ["main"]
+
+
+def test_cli_never_names_the_kernels_digit_walk():
+    # node k is read through SSeqKernel.pair_at, the one public reader of a tree node
+    tree = ast.parse((Path(enumtree.__file__).parent / "cli.py").read_text())
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert "pair_at" in names and "_triple" not in names
 
 
 def test_only_build_parser_reads_the_environment():

@@ -21,6 +21,7 @@ from enumtree.pairs import (
     EnumerablePoly,
     c_bar,
     make_pair,
+    pair_in_df,
     poly,
 )
 from enumtree.sseq import (
@@ -122,11 +123,13 @@ def test_pair_at_examples():
 
 
 def test_pair_at_matches_tree():
+    # pair_at builds its node unchecked: each is the tree's, and a pair of f
     for f in ENUMERABLE_POLYS:
         kern = kernel_for(f)
         flat = [p for row in tree_rows(f, 12) for p in row]
         for k, p in enumerate(flat, start=1):
-            assert kern.pair_at(k) == p
+            node = kern.pair_at(k)
+            assert node == p and pair_in_df(f, node.m, node.n)
 
 
 def test_two_regular_branch_identities_exhaustive():
@@ -520,6 +523,10 @@ def test_kernel_of_other_quadratics_matches_the_tree(p, d):
     flat = [q.n for row in tree_rows(f, 10) for q in row]
     assert kern.s_prefix(len(flat)) == flat
     assert (kern.start, kern.initial) == (1 << d, (0, *flat[: (4 << d) - 1]))
+    # pair_at builds its node unchecked: each is the tree's, and a pair of f
+    nodes = [node for row in int_tree_rows(f, 10) for node in row]
+    for k, (m, n) in enumerate(nodes, start=1):
+        assert kern.pair_at(k).components() == (m, n) and pair_in_df(f, m, n)
 
 
 @pytest.mark.parametrize("p", [poly(-2000, 0, 1), poly(1, -36, 1), poly(1, -10**9, 1)], ids=str)

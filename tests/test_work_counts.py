@@ -15,7 +15,7 @@ from enumtree import analytics, cli, maps, monoid, sseq
 from enumtree.cli import _SUITES
 from enumtree.maps import f_hat, f_hat_inverse, int_tree_rows
 from enumtree.monoid import word_to_index, word_to_matrix
-from enumtree.pairs import ENUMERABLE_POLYS
+from enumtree.pairs import ENUMERABLE_POLYS, Poly
 from enumtree.sseq import kernel_for, vector_tree_rows
 from oracles import trial_tau
 
@@ -274,3 +274,21 @@ def test_verify_bijectivity_walks_once_per_divisor(monkeypatch):
     assert suite_failures("bijectivity", bound) == []
     expected = sum(trial_tau(abs(f.poly(n))) for f in ENUMERABLE_POLYS for n in range(1, bound + 1))
     assert calls[0] == expected == 592
+
+
+def test_pair_at_evaluates_no_polynomial(monkeypatch):
+    # node k is built from the digit walk's triple alone; verify checks it, not pair_at
+    kernels = [kernel_for(f) for f in ENUMERABLE_POLYS]
+    calls = _counting(monkeypatch, Poly, "__call__")
+    for kern in kernels:
+        for k in [1, 2, 3, 5, 9, 1000, 2**70 + 1]:
+            kern.pair_at(k)
+    assert calls[0] == 0
+
+
+def test_roots_mod_2_takes_no_square_root(monkeypatch):
+    # p = 2 is scanned, so no Tonelli-Shanks call is made and thrown away
+    calls = _counting(monkeypatch, analytics, "sqrt_mod")
+    assert [analytics.roots_mod_p(f, 2) for f in ENUMERABLE_POLYS] == [[1], [], [1], []]
+    assert calls[0] == 0
+    assert analytics.roots_mod_p(ENUMERABLE_POLYS[0], 5) == [2, 3] and calls[0] == 1
