@@ -12,13 +12,13 @@ M_k = 3 M_{k-1} + 2 N_{k-1} + beta * 2^(k-1) and N_k = 2 M_{k-1} + 2 N_{k-1} for
 k >= 2; only the ratio sums of beta != 0 have no step on record, so row_stats sums
 rows directly.  Ratio sums are kept as exact rationals throughout.
 
-Every prime p dividing some |f(n)| (f one of the four quadratics) is an
-alternating product of polynomial values at the second components of the
-inverse-reduction chain of (p, n):
+Every prime p dividing some |f(n)| (f one of the four quadratics) is an alternating
+product of polynomial values at the second components of the reduction chain of (p, n):
 
     p = |f(n_k)| / |f(n_{k-1})| * |f(n_{k-2})| / ...      n_1 < ... < n_k < p
 
 equal-valued adjacent factors are left uncancelled; verify prime-reps checks the product.
+The n_i are read off the reduction's passes (maps._passes): no word, index or chain is built.
 """
 
 from math import gcd
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from ._record import Record, at_least
 from .arith import is_prime, primes_up_to, sqrt_mod
-from .maps import DEFAULT_NODE_BUDGET, check_tree_size, f_hat_inverse
+from .maps import DEFAULT_NODE_BUDGET, _passes, check_tree_size
 from .pairs import BadPair, EnumerablePoly, make_pair
 from .sseq import kernel_for
 
@@ -144,15 +144,16 @@ class PrimeRepresentation(Record):
 def prime_representation(f: EnumerablePoly, p: int, n: int) -> PrimeRepresentation:
     """The alternating-product form of p attached to the pair (p, n).
 
-    Requires p prime, 0 <= n < p and p | |f(n)|.  The n values are the
-    distinct nonzero second components of the reduction chain of (p, n).  The
-    product is not re-multiplied here; `verify prime-reps` checks it telescopes to p.
+    Requires p prime, 0 <= n < p and p | |f(n)|.  The n values are the distinct
+    nonzero n that the passes of the reduction of (p, n) start at.  The product is
+    not re-multiplied here; `verify prime-reps` checks it telescopes to p.
     """
     if not is_prime(p):
         raise BadPair(f"{p} is not prime")
     if not 0 <= n < p:
         raise BadPair(f"need 0 <= n < p, got n = {n}, p = {p}")
-    ns = sorted({q.n for q in f_hat_inverse(f, make_pair(p, n, f)).pairs} - {0})
+    make_pair(p, n, f)  # p | |f(n)|, or BadPair
+    ns = sorted({n for _, n, _ in _passes(f, p, n, f.poly(n) // p)} - {0})
     signs = tuple((-1) ** (len(ns) - 1 - i) for i in range(len(ns)))
     return PrimeRepresentation(p=p, f=f, n_values=tuple(ns), exponents=signs)
 

@@ -491,6 +491,8 @@ def console_main() -> None:
         # Reader gone (e.g. `| head`): discard the rest so exit's flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        code = 130  # 128 + SIGINT, as a shell reports an interrupt; no traceback
     sys.exit(code)
 
 

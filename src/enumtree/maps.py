@@ -11,19 +11,21 @@ The same pair is reached by replaying the matrix's generator word from the
 root pair (1, 0) with the s_bar/t_bar moves; both routes are exposed so they
 can be checked against each other.
 
-The inverse direction peels a pair back to (1, 0): repeat
+The inverse direction reduces a pair to (1, 0): repeat
 
     (m, n)  ->  c_bar( s_bar^(-floor(n/m)) (m, n) )
 
-recording the exponents.  With c_bar s_bar c_bar merged into t_bar they are the word's
-S and T blocks, read into the tree index as they are peeled; the index gives the word.
+One loop, _passes, yields each pass's pair and exponent, and each caller folds only what
+it returns.  With c_bar s_bar c_bar merged into t_bar the exponents are the word's S and T
+blocks, which _index reads into the tree index; the index gives the word.
 The loop additionally checks, at every visited pair, the reachability
 inequality min(m, |f(n)|/m) <= n < max(m, |f(n)|/m), written once in
 classify (_violation); on a violation it aborts with a diagnostic instead of
 cycling.
 """
 
-from typing import Iterator
+from itertools import groupby
+from typing import Iterable, Iterator
 
 from ._record import Record, at_least
 from .classify import LEFT, _violation
@@ -126,17 +128,10 @@ class InverseTrace(Record):
     __slots__ = ("exponents", "pairs", "word", "index")
 
 
-def _peel(
-    f: EnumerablePoly, m: int, n: int, q: int
-) -> tuple[list[int], list[tuple[int, int]], int]:
-    """Peel (m, n), a pair of the tree of f, down to (1, 0), given the signed cofactor
-    q = f(n) / m: the exponents, the chain of distinct pairs visited from (m, n) to (1, 0),
-    and the tree index k.  Exponent i is a block of S (i even) or T (i odd) letters, a bit
-    0 or 1 each in k, first block lowest; the root closes k with a 1 above them."""
-    b = f.beta
-    exponents: list[int] = []
-    chain = [(m, n)]
-    k = pos = 0  # the index bits read so far, and their count
+def _passes(f: EnumerablePoly, m: int, n: int, q: int) -> Iterator[tuple[int, int, int]]:
+    """The reduction of (m, n), a pair of the tree of f, to (1, 0), given the signed
+    cofactor q = f(n) / m: per pass, once its pair passes the reachability check,
+    (m, n, a), the pair it starts at and its exponent a = floor(n/m)."""
     # n never grows, and a pass with a = 0 sets m = |q| <= n (the check), so the next lowers n
     while n or m != 1:
         cert = _violation(f.poly, m, n, abs(q))
@@ -147,18 +142,21 @@ def _peel(
                 f" ({side} side); it cannot be reduced to the root"
             )
         a = n // m
-        if len(exponents) % 2:  # a T block: bits pos .. pos + a - 1 are set
-            k |= ((1 << a) - 1) << pos
-        exponents.append(a)
-        pos += a
-        if a:
-            q = _shifted_cofactor(q, n, b, -a, m)
-            n -= a * m
-            chain.append((m, n))
+        yield m, n, a
+        q = _shifted_cofactor(q, n, f.beta, -a, m)
+        n -= a * m
         m, q = abs(q), (m if q > 0 else -m)  # c_bar: f(n) = m * q
-        if (m, n) != chain[-1]:
-            chain.append((m, n))
-    return exponents, chain, k | 1 << pos
+
+
+def _index(passes: Iterable[tuple[int, int, int]]) -> int:
+    """Tree index k of a reduction from its passes: exponent i is a block of S (i even) or
+    T (i odd) letters, a bit 0 or 1 each, first block lowest; the root closes k with a 1."""
+    k = pos = 0  # the index bits read so far, and their count
+    for i, (_, _, a) in enumerate(passes):
+        if i % 2:  # a T block: bits pos .. pos + a - 1 are set
+            k |= ((1 << a) - 1) << pos
+        pos += a
+    return k | 1 << pos
 
 
 def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
@@ -166,11 +164,13 @@ def f_hat_inverse(f: EnumerablePoly, p: DivisorPair) -> InverseTrace:
     the full reduction chain."""
     if p.poly != f.poly:
         raise BadPair(f"pair {p} belongs to {p.poly}, not to {f.poly}")
-    exponents, chain, index = _peel(f, p.m, p.n, f.poly(p.n) // p.m)
-    # The chain pairs are p moved by s_bar_inv and c_bar: no check needed.
+    passes = [*_passes(f, p.m, p.n, f.poly(p.n) // p.m)]
+    index = _index(passes)
+    # each pass's pair and its s_bar_inv image, then the root, repeats dropped: p moved, unchecked
+    visited = [pair for m, n, a in passes for pair in ((m, n), (m, n - a * m))] + [(1, 0)]
     return InverseTrace(
-        exponents=tuple(exponents),
-        pairs=tuple(_moved(m, n, f.poly) for m, n in chain),
+        exponents=tuple([a for _, _, a in passes]),
+        pairs=tuple([_moved(m, n, f.poly) for (m, n), _ in groupby(visited)]),
         word=index_to_word(index),
         index=index,
     )

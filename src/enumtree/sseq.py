@@ -29,12 +29,12 @@ or right child triple by one net_expand step.  s(k) thus costs O(bits of k)
 time and O(1) memory at any index size, with no shared mutable state.
 
 Fibers: the set of tree indices whose second component equals n has exactly
-tau(|f(n)|) elements, and |f(n)| is prime exactly when that set is the
-boundary pair {2^n, 2^(n+1) - 1}.  Fibers come from the divisors of |f(n)|,
-not a tree scan: per couple m * q = |f(n)| only the min side (m, n), m <= q,
-is reduced, to index k of L = bit_length(k) - 1 letters.  Its reduction
-checks m <= n < q, so (q, n) reduces by exponent 0, steps by c_bar to (m, n)
-and repeats the same steps: its word is k's with S and T swapped, so its
+tau(|f(n)|) elements, and |f(n)| is prime exactly when that set is the boundary
+pair {2^n, 2^(n+1) - 1}.  Fibers come from the divisors of |f(n)|, not a tree
+scan: per couple m * q = |f(n)| only the min side (m, n), m <= q, is reduced, and
+_index alone folds its passes to index k of L = bit_length(k) - 1 letters.  Its
+reduction checks m <= n < q, so (q, n) reduces by exponent 0, steps by c_bar to
+(m, n) and repeats the same steps: its word is k's with S and T swapped, so its
 index is k's mirror index (3 << L) - 1 - k: odd, where words led by S have
 even indices.  Only the root (1, 0) has n = 0, since a child adds m >= 1
 (s_bar) or the cofactor |f(n)| / m >= 1 (t_bar) to n: the fiber of 0 is {1}.
@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 from . import maps
 from ._record import Record, at_least
 from .arith import divisors
-from .maps import DEFAULT_NODE_BUDGET, _peel, check_tree_size
+from .maps import DEFAULT_NODE_BUDGET, _index, _passes, check_tree_size
 from .monoid import mirror_index
 from .pairs import PHI0, DivisorPair, EnumerablePoly, _moved
 
@@ -167,7 +167,7 @@ class SSeqKernel(Record):
         divs = divisors(abs(value))
         out = set()
         for m in divs[: (len(divs) + 1) // 2]:  # the min sides, m * m <= |f(n)|
-            k = _peel(f, m, n, value // m)[2]
+            k = _index(_passes(f, m, n, value // m))
             out |= {k, mirror_index(k)}
         return out
 

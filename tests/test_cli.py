@@ -6,6 +6,8 @@ import json
 import os
 import random
 import re
+import resource
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -22,11 +24,11 @@ import enumtree
 from enumtree import _record, analytics, arith, cli, maps, pairs, sseq
 from enumtree.arith import FactorLimitExceeded
 from enumtree.cli import _SUITES, main
-from enumtree.maps import f_hat, f_hat_inverse, tree_rows
+from enumtree.maps import f_hat, f_hat_inverse, int_tree_rows, tree_rows
 from enumtree.monoid import index_to_word, mirror_index, word_to_matrix
 from enumtree.pairs import ENUMERABLE_POLYS, PHI0, POLY_BY_NAME, Poly, make_pair
 from enumtree.sseq import kernel_for
-from oracles import trial_tau
+from oracles import bfs_words, trial_tau
 
 
 def suite_failures(suite, bound):
@@ -332,8 +334,8 @@ def test_fiber_reports(capsys):
 
 
 def test_fiber_reduces_each_complementary_couple_once(capsys, monkeypatch):
-    peeled, evaluated, inside_fiber = [], [], []
-    peel, evaluate, fiber = sseq._peel, Poly.__call__, sseq.SSeqKernel.fiber
+    reduced, evaluated, inside_fiber = [], [], []
+    passes, evaluate, fiber = sseq._passes, Poly.__call__, sseq.SSeqKernel.fiber
 
     def counted_fiber(kernel, n):
         before = len(evaluated)
@@ -341,13 +343,13 @@ def test_fiber_reduces_each_complementary_couple_once(capsys, monkeypatch):
         inside_fiber.append(len(evaluated) - before)
         return out
 
-    monkeypatch.setattr(sseq, "_peel", lambda f, m, n, q: peeled.append(m) or peel(f, m, n, q))
+    monkeypatch.setattr(sseq, "_passes", lambda f, m, n, q: reduced.append(m) or passes(f, m, n, q))
     monkeypatch.setattr(Poly, "__call__", lambda f, n: evaluated.append(n) or evaluate(f, n))
     monkeypatch.setattr(sseq.SSeqKernel, "fiber", counted_fiber)
     code, out, _ = run(capsys, "fiber", "phi0", "97")  # 97^2 + 1 = 2 * 5 * 941
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert code == 0 and lines["tau"] == "8" and lines["verdict"] == "composite"
-    assert sorted(peeled) == [1, 2, 5, 10]  # the min side of each couple m * q = 9410
+    assert sorted(reduced) == [1, 2, 5, 10]  # the min side of each couple m * q = 9410
     assert inside_fiber == [1]
 
 
@@ -582,6 +584,59 @@ def test_every_argv_gets_a_documented_exit_code(argv, budget):
         assert out.getvalue() == ""
 
 
+def _tree_nodes(f):
+    """(index, m, n, word, row) of nodes 1 .. 2**11 - 1 of the tree of f, from the moves
+    (int_tree_rows) and the oracle's breadth-first words, apart from the kernel and the
+    word table."""
+    words = iter(bfs_words(10))
+    return [
+        (k, m, n, next(words), r)
+        for r, row in enumerate(int_tree_rows(f, 10))
+        for k, (m, n) in enumerate(row, 1 << r)
+    ]
+
+
+_TREE_NODES = {f.name: _tree_nodes(f) for f in ENUMERABLE_POLYS}
+
+
+def _stdout(*argv):
+    """stdout of main(argv), which must exit 0; a hypothesis test takes no capsys."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(derandomize=True, max_examples=100)
+@given(
+    st.sampled_from(ENUMERABLE_POLYS), st.integers(0, 9), st.integers(1, 1100),
+    st.integers(1, 5), st.integers(1, 4), st.integers(1, 64),
+)
+def test_every_stream_format_shows_the_same_tree(f, depth, count, block, table, write):
+    # the four streams of one tree at random sizes, and random block, word-table and
+    # write sizes (all three read at call time): JSON and text tree, JSON and b-file seq
+    nodes = _TREE_NODES[f.name]
+    json_lines = [
+        f'{{"index":{k},"m":{m},"n":{n},"word":"{word}","row":{r}}}\n'
+        for k, m, n, word, r in nodes
+    ]
+    with patch.object(sseq, "_BLOCK_DEPTH", block), patch.object(
+        cli, "_WORD_TABLE_DEPTH", table
+    ), patch.object(cli, "_WRITE_BYTES", write):
+        tree = _stdout("tree", f.name, "--depth", str(depth))
+        text = _stdout("tree", f.name, "--depth", str(depth), "--format", "text")
+        seq = _stdout("seq", f.name, "--count", str(count), "--format", "json")
+        bfile = _stdout("seq", f.name, "--count", str(count))
+    assert tree == "".join(json_lines[: (2 << depth) - 1])
+    rows = [nodes[(1 << r) - 1 : (2 << r) - 1] for r in range(depth + 1)]
+    assert text == "".join(
+        "  " * r + "  ".join(f"({m}, {n})" for _, m, n, _, _ in row) + "\n"
+        for r, row in enumerate(rows)
+    )
+    assert seq == "".join(json_lines[:count])
+    assert bfile == "".join(f"{k} {n}\n" for k, _, n, _, _ in nodes[:count])
+
+
 def test_primerep(capsys):
     code, out, _ = run(capsys, "primerep", "phi0", "113", "15")
     assert code == 0
@@ -641,6 +696,36 @@ def test_primerep_refuses_the_least_strong_pseudoprime_to_bases_up_to_41(capsys)
     assert err == "error: 3317044064679887385961981 is not prime\n"
 
 
+# Landau primes p = n^2 + 1: the reduction of (p, n) is (p, n) by c_bar to (1, n), and by
+# n letters T to the root, so the pair's index has n + 1 bits
+_LANDAU = [("1000072001297", "1000036"), ("1208925819698192058418597", "1099511627814")]
+
+
+@pytest.mark.parametrize("p, n", _LANDAU)
+def test_primerep_answers_a_landau_prime_whose_word_is_n_letters(capsys, p, n):
+    # n-values are read off the passes: no index or word of n + 1 bits is built
+    assert run(capsys, "primerep", "phi0", p, n) == (0, (
+        f"p: {p}\n"
+        f"n-values: {n}\n"
+        f"form: p = |f({n})|^+1\n"
+        f"value: {p} = {p}\n"
+    ), "")
+
+
+def test_inverse_of_a_landau_pair_whose_word_is_too_long_exits_5(capsys):
+    # the word of (p, n) is T^n with n = 1,099,511,627,814 letters: its index of n + 1 bits,
+    # some 137 GB, is refused, not built; an address-space cap below it keeps the refusal
+    # the same on a host that overcommits memory
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 64 << 30 if hard == resource.RLIM_INFINITY else min(64 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        result = run(capsys, "inverse", "phi0", *_LANDAU[1])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert result == (5, "", "error: MemoryError\n")
+
+
 def test_verify_suites_pass(capsys):
     for suite, bound in [
         ("tau", "60"),
@@ -698,13 +783,8 @@ def test_bijectivity_suite_evaluates_f_once_per_n_besides_the_pair_checks(monkey
 def test_verify_bijectivity_catches_a_mirrored_index_map(capsys, monkeypatch):
     # mirror_index is injective, so each fiber keeps tau(|f(n)|) distinct indices;
     # only the round trip from the index back to its pair sees the wrong node
-    inner = maps._peel
-
-    def mirrored(*args):
-        exponents, chain, index = inner(*args)
-        return exponents, chain, mirror_index(index)
-
-    monkeypatch.setattr(maps, "_peel", mirrored)
+    inner = maps._index
+    monkeypatch.setattr(maps, "_index", lambda passes: mirror_index(inner(passes)))
     code, out, _ = run(capsys, "verify", "bijectivity", "--bound", "10")
     failures = json.loads(out)["failures"]
     assert code == 1 and failures
@@ -1353,16 +1433,31 @@ def test_fiber_matches_golden_hash(capsys, name, n, digest):
     "argv", [["tree", "phi0", "--depth", "16"], ["seq", "phi0", "--count", "200000"]]
 )
 def test_closed_stdout_exits_cleanly(argv):
+    with _cli_process(argv) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    # Ctrl-C once the tree has begun to stream: exit 130, as a shell reports SIGINT
+    with _cli_process(["tree", "phi0", "--depth", "20"]) as proc:
+        assert proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 130
+    assert "Traceback" not in err.decode()
+
+
+def _cli_process(argv):
+    """The CLI on argv in a child process, stdout and stderr piped; `with` closes both."""
     env = dict(os.environ, PYTHONPATH=str(Path(enumtree.__file__).parents[1]))
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "enumtree.cli", *argv],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 141
-    assert "Traceback" not in err
 
 
 def test_only_main_maps_failures_to_exit_codes():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from enumtree import sseq
 from enumtree.maps import (
     NodeBudgetExceeded,
-    _peel,
+    _index,
+    _passes,
     check_tree_size,
     f_hat,
     f_hat_inverse,
@@ -178,11 +179,17 @@ def test_peel_returns_the_exponents_and_chain_of_the_inverse(f):
     for _ in range(50):
         word = "".join(rng.choice("ST") for _ in range(rng.randint(0, 300)))
         p = f_hat(f, word_to_matrix(word))
-        exponents, chain, index = _peel(f, p.m, p.n, f.poly(p.n) // p.m)
+        passes = list(_passes(f, p.m, p.n, f.poly(p.n) // p.m))
         trace = f_hat_inverse(f, p)
-        assert (tuple(exponents), trace.word) == (trace.exponents, word)
-        assert index == trace.index == word_to_index(word)
-        assert chain == [c.components() for c in trace.pairs]
+        assert (tuple(a for _, _, a in passes), trace.word) == (trace.exponents, word)
+        assert _index(passes) == _index(iter(passes)) == trace.index == word_to_index(word)
+        # the passes start at chain pairs, in chain order; each other chain pair is the
+        # root or a pass's pair moved by s_bar_inv
+        chain = [c.components() for c in trace.pairs]
+        starts = [(m, n) for m, n, _ in passes]
+        assert [pair for pair in chain if pair in set(starts)] == starts
+        shifted = {(m, n - a * m) for m, n, a in passes}
+        assert set(chain) - set(starts) <= shifted | {(1, 0)}
         assert chain[-1] == (1, 0) and all(a != b for a, b in zip(chain, chain[1:]))
 
 
@@ -191,6 +198,16 @@ def test_inverse_refuses_an_unreachable_pair():
     f = EnumerablePoly("x^2+5x+1", poly(1, 5, 1))
     with pytest.raises(ArithmeticError, match=r"\(min side\)"):
         f_hat_inverse(f, make_pair(5, 3, f))
+
+
+def test_inverse_keeps_the_sign_of_a_cofactor_through_c_bar():
+    # x^2 - 3 is negative at n = 0 and 1: (2, 5) is shifted to (2, 1), of cofactor -1, and
+    # c_bar takes it to (1, 1) of cofactor -2; the shift to (1, 0) then gives f(0) = -3,
+    # and c_bar the pair (3, 0), which is past the bound.  A cofactor that lost its sign
+    # at c_bar would give f(0) = 1 instead, and a wrong index at the root.
+    f = EnumerablePoly("x^2-3", poly(-3, 0, 1))
+    with pytest.raises(ArithmeticError, match=r"^pair \(3, 0\) of f = x\^2-3 .* \(min side\)"):
+        f_hat_inverse(f, make_pair(2, 5, f))
 
 
 def test_inverse_of_root_is_trivial():

@@ -194,16 +194,35 @@ def test_int_tree_rows_shift_two_cofactors_per_parent(monkeypatch, f, depth):
 
 @pytest.mark.parametrize("f", ENUMERABLE_POLYS, ids=lambda f: f.name)
 def test_inverse_encodes_its_reduction_once(monkeypatch, f):
-    # the one peel gives the index, and the index the word: no word is built from the
-    # exponents and parsed back into the index
+    # the one reduction gives the index, and the index the word: no word is built from
+    # the exponents and parsed back into the index
     rng = random.Random(400 + ENUMERABLE_POLYS.index(f))
     word = "".join(rng.choice("ST") for _ in range(300))
     p, index = f_hat(f, word_to_matrix(word)), word_to_index(word)
-    encodes = _counting(monkeypatch, maps, "_peel")
+    encodes = _counting(monkeypatch, maps, "_passes")
     parses = _counting(monkeypatch, monoid, "word_to_index")
     trace = f_hat_inverse(f, p)
     assert (trace.word, trace.index) == (word, index)
     assert (encodes[0], parses[0]) == (1, 0) and not hasattr(maps, "word_to_index")
+
+
+def test_fiber_folds_only_the_index_of_each_couple(monkeypatch):
+    # one reduction per min side m of 97^2 + 1 = 9410 (1, 2, 5 and 10), each folded by
+    # _index into its index alone
+    reductions = _counting(monkeypatch, sseq, "_passes")
+    indices = _counting(monkeypatch, sseq, "_index")
+    assert len(kernel_for(_BY_NAME["phi0"]).fiber(97)) == 8
+    assert (reductions[0], indices[0]) == (4, 4)
+
+
+def test_prime_representation_reads_only_the_n_of_each_pass(monkeypatch):
+    # 113 | 98^2 + 1: one reduction, read for its n-values alone; no index or word
+    reductions = _counting(monkeypatch, analytics, "_passes")
+    indices = _counting(monkeypatch, maps, "_index")
+    words = _counting(monkeypatch, maps, "index_to_word")
+    rep = analytics.prime_representation(_BY_NAME["phi0"], 113, 98)
+    assert rep.n_values == (1, 13, 98) and rep.exponents == (1, -1, 1)
+    assert (reductions[0], indices[0], words[0]) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("name, steps", [("phi0", 143), ("phi1", 159), ("psi2", 156), ("phi3", 159)])
